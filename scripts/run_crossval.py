@@ -31,12 +31,11 @@ def main() -> int:
     parser.add_argument("--corpus", default=str(DEFAULT_CORPUS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     config = Config(seed=args.seed, kfold_k=args.folds)
     corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes))
-    report = evaluate(corpus, config, jobs=args.jobs)
+    report = evaluate(corpus, config)
     print(render_text(report), end="")
 
     print()

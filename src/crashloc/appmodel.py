@@ -19,12 +19,11 @@ and all queries are pure.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DanglingRef, SchemaError, UnknownClass
+from .errors import DanglingRef, SchemaError, UnknownClass, expect, read_json
 
 API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
@@ -123,27 +122,9 @@ def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") ->
     )
 
 
-def _expect(obj, key, kind, pointer):
-    if key not in obj:
-        raise SchemaError(f"missing key {key!r}", pointer)
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise SchemaError(
-            f"key {key!r} must be {kind.__name__}, got {type(value).__name__}",
-            f"{pointer}/{key}",
-        )
-    return value
-
-
 def load_app_model(path: str | Path) -> AppModel:
     """Load and fully validate an app-model JSON file."""
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SchemaError(f"cannot read app model: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"app model is not valid JSON: {exc}", "/") from exc
+    obj = read_json(path, "app model")
     if not isinstance(obj, dict):
         raise SchemaError("app model must be a JSON object", "/")
     return app_model_from_json(obj)
@@ -151,16 +132,16 @@ def load_app_model(path: str | Path) -> AppModel:
 
 def app_model_from_json(obj: dict) -> AppModel:
     classes: dict = {}
-    for ci, centry in enumerate(_expect(obj, "classes", list, "")):
+    for ci, centry in enumerate(expect(obj, "classes", list, "")):
         ptr = f"/classes/{ci}"
         if not isinstance(centry, dict):
             raise SchemaError("class entry must be an object", ptr)
-        name = _expect(centry, "name", str, ptr)
+        name = expect(centry, "name", str, ptr)
         if name in classes:
             raise SchemaError(f"class {name!r} declared twice", f"{ptr}/name")
-        supers = tuple(str(s) for s in _expect(centry, "superclasses", list, ptr))
+        supers = tuple(str(s) for s in expect(centry, "superclasses", list, ptr))
         active = []
-        for mi, mtext in enumerate(_expect(centry, "active_methods", list, ptr)):
+        for mi, mtext in enumerate(expect(centry, "active_methods", list, ptr)):
             ref = parse_method_ref(str(mtext), True, f"{ptr}/active_methods/{mi}")
             if ref.class_name != name:
                 raise SchemaError(
@@ -169,7 +150,7 @@ def app_model_from_json(obj: dict) -> AppModel:
                 )
             active.append(ref)
         ncs = []
-        for mi, mtext in enumerate(_expect(centry, "non_overridden_callbacks", list, ptr)):
+        for mi, mtext in enumerate(expect(centry, "non_overridden_callbacks", list, ptr)):
             nptr = f"{ptr}/non_overridden_callbacks/{mi}"
             ref = parse_method_ref(str(mtext), False, nptr)
             if ref.class_name not in supers:
@@ -203,7 +184,7 @@ def app_model_from_json(obj: dict) -> AppModel:
 
     apis = tuple(
         ApiRef.from_json_obj(a if isinstance(a, dict) else {}, f"/apis/{ai}")
-        for ai, a in enumerate(_expect(obj, "apis", list, ""))
+        for ai, a in enumerate(expect(obj, "apis", list, ""))
     )
     api_names = {(a.class_name, a.method_name) for a in apis}
 
@@ -219,34 +200,34 @@ def app_model_from_json(obj: dict) -> AppModel:
         )
 
     invocations = []
-    for ii, ientry in enumerate(_expect(obj, "invocations", list, "")):
+    for ii, ientry in enumerate(expect(obj, "invocations", list, "")):
         ptr = f"/invocations/{ii}"
         if not isinstance(ientry, dict):
             raise SchemaError("invocation entry must be an object", ptr)
-        caller = parse_method_ref(_expect(ientry, "caller", str, ptr), True, f"{ptr}/caller")
+        caller = parse_method_ref(expect(ientry, "caller", str, ptr), True, f"{ptr}/caller")
         if caller.canonical() not in declared:
             raise DanglingRef(f"caller {caller.canonical()!r} is not a declared method",
                               f"{ptr}/caller")
         callees = tuple(
             resolve_callee(parse_method_ref(str(c), True, f"{ptr}/callees/{ci}"),
                            f"{ptr}/callees/{ci}")
-            for ci, c in enumerate(_expect(ientry, "callees", list, ptr))
+            for ci, c in enumerate(expect(ientry, "callees", list, ptr))
         )
         invocations.append((caller, callees))
 
     param_flows = []
-    for pi, pentry in enumerate(_expect(obj, "param_flows", list, "")):
+    for pi, pentry in enumerate(expect(obj, "param_flows", list, "")):
         ptr = f"/param_flows/{pi}"
         if not isinstance(pentry, dict):
             raise SchemaError("param flow entry must be an object", ptr)
-        callee = parse_method_ref(_expect(pentry, "callee", str, ptr), True, f"{ptr}/callee")
+        callee = parse_method_ref(expect(pentry, "callee", str, ptr), True, f"{ptr}/callee")
         if callee.canonical() not in declared:
             raise DanglingRef(f"param flow callee {callee.canonical()!r} is not declared",
                               f"{ptr}/callee")
-        position = _expect(pentry, "position", int, ptr)
+        position = expect(pentry, "position", int, ptr)
         if position < 0:
             raise SchemaError("position must be >= 0", f"{ptr}/position")
-        param_flows.append((callee, position, _expect(pentry, "class_name", str, ptr)))
+        param_flows.append((callee, position, expect(pentry, "class_name", str, ptr)))
 
     return AppModel(
         classes=classes,

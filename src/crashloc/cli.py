@@ -5,32 +5,34 @@ Usage:
     crashloc locate   crash.log --model bundle.json --corpus corpus.jsonl \
                       [--app-model model.json] [--pretty]
     crashloc evaluate --corpus corpus.jsonl [--folds 5] [--seed 0] \
-                      [--perfect-categorization] [--pretty] [--jobs N]
+                      [--perfect-categorization] [--pretty]
     crashloc inspect  path
 
-Results go to stdout; diagnostics and machine-readable error JSON go to
-stderr. Exit codes: 2 for unusable inputs (missing files, schema errors,
-malformed logs), 3 for localization failures. The environment variable
-CRASHLOC_CONFIG may point at a JSON config file; flags override it.
+Results go to stdout; stderr carries JSON lines only (log records and
+error reports). Exit codes: 2 for unusable inputs (missing files, schema
+errors, malformed logs), 3 for localization failures. CRASHLOC_CONFIG may
+point at a JSON config file for train, evaluate and inspect; locate reads
+its settings from the model bundle instead. Flags override either.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from .appmodel import load_app_model
-from .config import Config, load_config
+from .appmodel import app_model_from_json, load_app_model
+from .config import Config, config_from_json_obj, load_config
 from .corpus import load_corpus
-from .errors import CrashLocError, LocateError, SchemaError
-from .evaluation import bucketize, evaluate, render_text
-from .features import SelectedVocabulary, build_vocabulary, chi_square_select, vectorize
-from .localizer import locate
+from .errors import CrashLocError, LocateError, SchemaError, expect, read_json
+from .evaluation import bucketize, evaluate, fit, render_text
+from .features import SelectedVocabulary
+from .localizer import locate, location_label
 from .nb import CATEGORIES, NBModel
-from .nb import train as train_nb
 from .trace import FrameworkMatcher, parse_and_split
 
 BUNDLE_KIND = "crashloc-model-bundle"
@@ -49,58 +51,44 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _resolve_config(args: argparse.Namespace) -> Config:
-    config = Config()
-    env_path = os.environ.get("CRASHLOC_CONFIG")
-    if env_path:
-        config = load_config(env_path)
-    overrides = {}
-    for flag, field in (
-        ("chi2_ratio", "chi2_ratio"),
-        ("smoothing", "nb_smoothing"),
-        ("links_depth", "links_depth"),
-        ("folds", "kfold_k"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+class _JsonLogHandler(logging.Handler):
+    """Writes each log record to stderr as one JSON object per line."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(json.dumps({"level": record.levelname, "logger": record.name,
+                          "message": record.getMessage()}), file=sys.stderr)
 
 
-def _matcher(config: Config) -> FrameworkMatcher:
-    return FrameworkMatcher(prefixes=config.framework_prefixes)
+_LOG_HANDLER = _JsonLogHandler()
+
+# (command-line flag, Config field) pairs; a flag that is given overrides the field.
+_FLAG_FIELDS = (("chi2_ratio", "chi2_ratio"), ("smoothing", "nb_smoothing"),
+                ("links_depth", "links_depth"), ("folds", "kfold_k"), ("seed", "seed"))
 
 
-def _load_bundle(path: str) -> tuple[NBModel, Config]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SchemaError(f"cannot read model bundle: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model bundle is not valid JSON: {exc}", "/") from exc
-    for key in ("selected_vocab", "nb"):
-        if key not in obj:
-            raise SchemaError(f"model bundle is missing {key!r}", f"/{key}")
-    selected = SelectedVocabulary.from_json_obj(obj["selected_vocab"])
-    nb_model = NBModel.from_json_obj(obj["nb"], selected)
-    config = Config()
-    if "config" in obj:
-        prefixes = obj["config"].get("framework_prefixes")
-        if prefixes:
-            config = dataclasses.replace(config, framework_prefixes=tuple(prefixes))
-    return nb_model, config
+def _resolve_config(args: argparse.Namespace, base: Config | None = None) -> Config:
+    """``base`` (else CRASHLOC_CONFIG, else the defaults) with the flags applied."""
+    config = base
+    if config is None:
+        env_path = os.environ.get("CRASHLOC_CONFIG")
+        config = load_config(env_path) if env_path else Config()
+    overrides = {field: getattr(args, flag, None) for flag, field in _FLAG_FIELDS}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _bundle_from_obj(obj) -> tuple[NBModel, Config]:
+    """Categorizer and training config of a model bundle's JSON value."""
+    vocab_obj = expect(obj, "selected_vocab", dict, "")
+    selected = SelectedVocabulary.from_json_obj(vocab_obj, "/selected_vocab")
+    nb_model = NBModel.from_json_obj(expect(obj, "nb", dict, ""), selected, "/nb")
+    return nb_model, config_from_json_obj(obj.get("config", {}), "/config")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    corpus = load_corpus(args.corpus, _matcher(config))
-    vocab = build_vocabulary(corpus)
-    selected = chi_square_select(vocab, corpus, config.chi2_ratio)
-    pairs = [(vectorize(c.report, selected), c.category) for c in corpus]
-    nb_model = train_nb(pairs, config.nb_smoothing, selected)
+    corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes))
+    nb_model = fit(corpus, config).nb
+    selected = nb_model.selected_vocab
     bundle = {
         "kind": BUNDLE_KIND,
         "config": config.to_json_obj(),
@@ -111,7 +99,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_path.write_text(json.dumps(bundle, indent=2) + "\n", encoding="utf-8")
     summary = {
         "documents": len(corpus),
-        "vocabulary_size": len(vocab),
+        "vocabulary_size": len(selected.base),
         "selected_features": len(selected),
         "priors": {c.value: nb_model.prior(c) for c in CATEGORIES},
         "model": str(out_path),
@@ -121,11 +109,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    nb_model, bundle_config = _load_bundle(args.model)
-    # Frames must split the same way they did at training time, so the
-    # bundle's prefixes win unless an explicit config file overrides them.
-    matcher = _matcher(config) if os.environ.get("CRASHLOC_CONFIG") else _matcher(bundle_config)
+    nb_model, bundle_config = _bundle_from_obj(read_json(args.model, "model bundle"))
+    config = _resolve_config(args, bundle_config)
+    matcher = FrameworkMatcher(config.framework_prefixes)
     corpus = load_corpus(args.corpus, matcher)
     app_model = load_app_model(args.app_model) if args.app_model else None
     try:
@@ -140,9 +126,9 @@ def cmd_locate(args: argparse.Namespace) -> int:
     if args.pretty:
         print(f"predicted category: {result.predicted_category.value}")
         if result.ranked:
-            width = max(len(_label(loc)) for loc, _ in result.ranked)
+            width = max(len(location_label(loc)) for loc, _ in result.ranked)
             for position, (loc, score) in enumerate(result.ranked, 1):
-                print(f"{position:>4}  {_label(loc):<{width}}  {score:.4f}")
+                print(f"{position:>4}  {location_label(loc):<{width}}  {score:.4f}")
         else:
             print("(empty rank)")
     else:
@@ -150,23 +136,11 @@ def cmd_locate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _label(location) -> str:
-    from .localizer import location_label
-
-    return location_label(location)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    corpus = load_corpus(args.corpus, _matcher(config))
+    corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes))
     protocol = "perfect_categorization" if args.perfect_categorization else "end_to_end"
-    report = evaluate(
-        corpus,
-        config,
-        fallback_model=args.app_model,
-        jobs=args.jobs,
-        protocol=protocol,
-    )
+    report = evaluate(corpus, config, fallback_model=args.app_model, protocol=protocol)
     if args.pretty:
         print(render_text(report), end="")
     else:
@@ -185,12 +159,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         first_line = stripped.splitlines()[0].strip()
-        looks_jsonl = False
         try:
-            json.loads(first_line)
             looks_jsonl = "crash_log" in json.loads(first_line)
         except json.JSONDecodeError:
-            pass
+            looks_jsonl = False
         if not looks_jsonl:
             try:
                 obj = json.loads(text)
@@ -199,13 +171,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             summary = _inspect_json_object(obj)
     if summary is None:
         config = _resolve_config(args)
-        corpus = load_corpus(path, _matcher(config))
-        categories: dict = {}
-        subs: dict = {}
-        for crash in corpus:
-            categories[crash.category.value] = categories.get(crash.category.value, 0) + 1
-            if crash.sub_category:
-                subs[crash.sub_category.value] = subs.get(crash.sub_category.value, 0) + 1
+        corpus = load_corpus(path, FrameworkMatcher(config.framework_prefixes))
+        categories = Counter(crash.category.value for crash in corpus)
+        subs = Counter(crash.sub_category.value for crash in corpus if crash.sub_category)
         summary = {
             "kind": "corpus",
             "crashes": len(corpus),
@@ -219,18 +187,18 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def _inspect_json_object(obj: dict) -> dict:
     if obj.get("kind") == BUNDLE_KIND or ("nb" in obj and "selected_vocab" in obj):
-        selected = SelectedVocabulary.from_json_obj(obj["selected_vocab"])
-        nb_obj = obj["nb"]
+        nb_model, _ = _bundle_from_obj(obj)
+        selected = nb_model.selected_vocab
         return {
             "kind": "model_bundle",
             "vocabulary_size": len(selected.base),
             "selected_features": len(selected),
             "ratio": selected.ratio,
-            "smoothing": nb_obj["smoothing"],
-            "priors": nb_obj["priors"],
+            "smoothing": nb_model.smoothing,
+            "priors": {c.value: nb_model.prior(c) for c in CATEGORIES},
         }
     if "classes" in obj:
-        model = load_app_model_obj(obj)
+        model = app_model_from_json(obj)
         return {
             "kind": "app_model",
             "classes": len(model.classes),
@@ -243,12 +211,6 @@ def _inspect_json_object(obj: dict) -> dict:
             "apis": len(model.apis),
         }
     raise SchemaError("file is neither a corpus, a model bundle, nor an app model", "/")
-
-
-def load_app_model_obj(obj: dict):
-    from .appmodel import app_model_from_json
-
-    return app_model_from_json(obj)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fallback app model for crashes without one")
     p_eval.add_argument("--folds", dest="folds", type=int, default=None,
                         help="number of cross-validation folds")
-    p_eval.add_argument("--jobs", dest="jobs", type=int, default=1,
-                        help="fold-level parallelism")
     p_eval.add_argument("--pretty", action="store_true",
                         help="print text tables instead of JSON")
     p_eval.add_argument("--perfect-categorization", dest="perfect_categorization",
@@ -311,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    logging.getLogger("crashloc").addHandler(_LOG_HANDLER)
     try:
         return args.func(args)
     except LocateError as exc:

@@ -1,11 +1,10 @@
 """Run configuration shared by the CLI, the pipeline, and the evaluation harness."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, expect_items, read_json
 
 # Package prefixes treated as Android framework code when splitting traces.
 DEFAULT_FRAMEWORK_PREFIXES = (
@@ -48,31 +47,28 @@ class Config:
             raise ValueError(f"kfold_k must be >= 2, got {self.kfold_k}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "framework_prefixes": list(self.framework_prefixes),
-            "chi2_ratio": self.chi2_ratio,
-            "nb_smoothing": self.nb_smoothing,
-            "links_depth": self.links_depth,
-            "kfold_k": self.kfold_k,
-            "seed": self.seed,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        return obj | {"framework_prefixes": list(self.framework_prefixes)}
+
+
+def config_from_json_obj(obj, pointer: str = "") -> Config:
+    """Validate a JSON object as a Config; absent keys keep their defaults."""
+    if not isinstance(obj, dict):
+        raise SchemaError("config must be a JSON object", pointer or "/")
+    known = {f.name for f in fields(Config)}
+    for key in obj:
+        if key not in known:
+            raise SchemaError(f"unknown config key {key!r}", f"{pointer}/{key}")
+    values = dict(obj)
+    if "framework_prefixes" in obj:
+        values["framework_prefixes"] = tuple(
+            expect_items(obj["framework_prefixes"], str, f"{pointer}/framework_prefixes"))
+    try:
+        return Config(**values)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad config value: {exc}", pointer or "/") from exc
 
 
 def load_config(path: str | Path) -> Config:
     """Read a JSON config file; unknown keys are rejected."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config file is not valid JSON: {exc}", "/") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("config file must hold a JSON object", "/")
-    known = {f.name for f in fields(Config)}
-    for key in obj:
-        if key not in known:
-            raise SchemaError(f"unknown config key {key!r}", f"/{key}")
-    if "framework_prefixes" in obj:
-        obj["framework_prefixes"] = tuple(obj["framework_prefixes"])
-    try:
-        return Config(**obj)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad config value: {exc}", "/") from exc
+    return config_from_json_obj(read_json(path, "config file"))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .appmodel import ApiRef
-from .errors import CrashLocError, SchemaError
+from .errors import CrashLocError, SchemaError, expect
 from .localizer import SubCategory
 from .nb import Category
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
@@ -63,8 +63,9 @@ def labeled_crash_from_json(
         raise SchemaError(
             f"category must be A, B or C, got {obj['category']!r}", f"{pointer}/category"
         ) from None
+    crash_log = expect(obj, "crash_log", str, pointer)
     try:
-        report = parse_and_split(obj["crash_log"], matcher)
+        report = parse_and_split(crash_log, matcher)
     except CrashLocError as exc:
         raise SchemaError(f"crash_log does not parse: {exc}", f"{pointer}/crash_log") from exc
 
@@ -98,7 +99,7 @@ def labeled_crash_from_json(
         api_h=api_h,
         sub_category=sub_category,
         app_model=app_model,
-        crash_log=str(obj["crash_log"]),
+        crash_log=crash_log,
     )
 
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON reading and
+shape checks that raise it."""
+from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class CrashLocError(Exception):
@@ -63,3 +68,53 @@ class LocateError(CrashLocError):
     def __init__(self, phase: str, message: str):
         self.phase = phase
         super().__init__(f"[{phase}] {message}")
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file at ``path``; SchemaError if unreadable or malformed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}", "/") from exc
+
+
+# Shape checks shared by the artifact loaders. ``bool`` is a subclass of
+# ``int``, but a JSON true/false is never taken for a number. Messages are
+# formatted only on failure, as a bundle check visits every word and row.
+NUMBER = (int, float)
+
+
+def _fits(value, kinds: tuple) -> bool:
+    return type(value) in kinds or (isinstance(value, kinds) and not isinstance(value, bool))
+
+
+def _mismatch(value, kinds: tuple, what: str, pointer: str) -> SchemaError:
+    names = " or ".join(k.__name__ for k in kinds)
+    return SchemaError(f"{what} must be {names}, got {type(value).__name__}", pointer)
+
+
+def expect(obj, key: str, kind, pointer: str):
+    """``obj[key]`` when ``obj`` is an object holding a ``kind`` there, else SchemaError."""
+    if not isinstance(obj, dict):
+        raise _mismatch(obj, (dict,), "value", pointer or "/")
+    if key not in obj:
+        raise SchemaError(f"missing key {key!r}", pointer or "/")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not _fits(obj[key], kinds):
+        raise _mismatch(obj[key], kinds, f"key {key!r}", f"{pointer}/{key}")
+    return obj[key]
+
+
+def expect_items(values, kind, pointer: str, length: int | None = None) -> list:
+    """``values`` when it is an array of ``kind`` items (of ``length``, if given)."""
+    if not isinstance(values, list):
+        raise _mismatch(values, (list,), "value", pointer)
+    if length is not None and len(values) != length:
+        raise SchemaError(f"expected {length} items, got {len(values)}", pointer)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for i, value in enumerate(values):
+        if not _fits(value, kinds):
+            raise _mismatch(value, kinds, "item", f"{pointer}/{i}")
+    return values

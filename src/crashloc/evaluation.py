@@ -17,25 +17,23 @@ to 1.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .appmodel import load_app_model
 from .config import Config
 from .corpus import LabeledCrash
-from .errors import CorpusTooSmall, CrashLocError, EmptySet, LocateError
+from .errors import CorpusTooSmall, CrashLocError, EmptySet
 from .features import build_vocabulary, chi_square_select, vectorize
-from .localizer import (
-    LocalizationResult,
-    locate_category_a,
-    locate_category_b,
-    locate_category_c,
-)
-from .nb import CATEGORIES, Category, predict
+from .localizer import Pipeline
+from .nb import CATEGORIES, Category
 from .nb import train as train_nb
 from .similarity import frame_seq
+
+# Unused here: bound only so that bench/tracer.py can wrap them under these names.
+from .localizer import locate_category_a, locate_category_b, locate_category_c  # noqa: F401
+from .nb import predict  # noqa: F401
 
 PROTOCOLS = ("end_to_end", "perfect_categorization")
 RECALL_KS = (1, 5, 10)
@@ -172,46 +170,20 @@ class EvalReport:
     failures: tuple
 
     def to_json_obj(self) -> dict:
-        return {
-            "fold_count": self.fold_count,
-            "seed": self.seed,
-            "protocol": self.protocol,
-            "corpus_size": self.corpus_size,
-            "confusion": self.confusion,
-            "per_category": self.per_category,
-            "accuracy": self.accuracy,
-            "recall_at": self.recall_at,
-            "mrr": self.mrr,
-            "localization": self.localization,
-            "case_ranks": self.case_ranks,
-            "failures": list(self.failures),
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        return obj | {"failures": list(self.failures)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def _locate_for_category(
-    category: Category,
-    crash: LabeledCrash,
-    training_b: list[LabeledCrash],
-    training_c: list[LabeledCrash],
-    model_cache: dict,
-    config: Config,
-    fallback_model: Path | None,
-) -> LocalizationResult:
-    if category is Category.A:
-        return locate_category_a(crash.report)
-    if category is Category.B:
-        model_path = crash.app_model or fallback_model
-        if model_path is None:
-            raise LocateError("locate", "crash requires an app model but none is available")
-        if model_path not in model_cache:
-            model_cache[model_path] = load_app_model(model_path)
-        return locate_category_b(
-            crash.report, model_cache[model_path], training_b, config.links_depth
-        )
-    return locate_category_c(crash.report, training_c)
+def fit(train: Sequence[LabeledCrash], config: Config) -> Pipeline:
+    """Train Phase 1 (vocabulary, chi-square selection, NB) and keep the Phase-2 pools."""
+    vocab = build_vocabulary(train)
+    selected = chi_square_select(vocab, train, config.chi2_ratio)
+    pairs = [(vectorize(c.report, selected), c.category) for c in train]
+    nb_model = train_nb(pairs, config.nb_smoothing, selected)
+    return Pipeline.from_corpus(nb_model, train, config.links_depth)
 
 
 def _run_fold(
@@ -221,29 +193,26 @@ def _run_fold(
     config: Config,
     fallback_model: Path | None,
 ) -> list[dict]:
-    train = [corpus[i] for i in train_idx]
-    vocab = build_vocabulary(train)
-    selected = chi_square_select(vocab, train, config.chi2_ratio)
-    pairs = [(vectorize(c.report, selected), c.category) for c in train]
-    nb_model = train_nb(pairs, config.nb_smoothing, selected)
-    training_b = [c for c in train if c.category is Category.B]
-    training_c = [c for c in train if c.category is Category.C]
+    pipeline = fit([corpus[i] for i in train_idx], config)
     model_cache: dict = {}
 
     records = []
     for idx in test_idx:
         crash = corpus[idx]
-        predicted, _ = predict(nb_model, vectorize(crash.report, selected))
+        predicted = pipeline.categorize(crash.report)
         record: dict = {"index": idx, "predicted": predicted, "actual": crash.category}
+        model_path = crash.app_model or fallback_model
         for protocol, category in (
             ("end_to_end", predicted),
             ("perfect_categorization", crash.category),
         ):
             try:
-                result = _locate_for_category(
-                    category, crash, training_b, training_c, model_cache, config,
-                    fallback_model,
-                )
+                app_model = None
+                if category is Category.B and model_path is not None:
+                    if model_path not in model_cache:
+                        model_cache[model_path] = load_app_model(model_path)
+                    app_model = model_cache[model_path]
+                result = pipeline.locate_as(category, crash.report, app_model)
                 record[protocol] = {"rank": result.rank_of(crash.true_location)}
             except CrashLocError as exc:
                 record[protocol] = {
@@ -282,7 +251,6 @@ def evaluate(
     corpus: Sequence[LabeledCrash],
     config: Config,
     fallback_model: str | Path | None = None,
-    jobs: int = 1,
     protocol: str = "end_to_end",
 ) -> EvalReport:
     """k-fold cross-validated evaluation of the whole pipeline.
@@ -294,21 +262,14 @@ def evaluate(
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     fallback = Path(fallback_model) if fallback_model else None
-    folds = kfold_indices(len(corpus), config.kfold_k, config.seed)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_fold, corpus, train, test, config, fallback)
-                for train, test in folds
-            ]
-            fold_records = [f.result() for f in futures]
-    else:
-        fold_records = [
-            _run_fold(corpus, train, test, config, fallback) for train, test in folds
-        ]
-
-    records = sorted((r for fold in fold_records for r in fold), key=lambda r: r["index"])
+    records = sorted(
+        (
+            record
+            for train, test in kfold_indices(len(corpus), config.kfold_k, config.seed)
+            for record in _run_fold(corpus, train, test, config, fallback)
+        ),
+        key=lambda r: r["index"],
+    )
 
     confusion = {p.value: {a.value: 0 for a in CATEGORIES} for p in CATEGORIES}
     for record in records:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import EmptyCorpus
+from .errors import NUMBER, EmptyCorpus, SchemaError, expect, expect_items
 from .trace import CrashReport
 
 if TYPE_CHECKING:
@@ -78,10 +78,17 @@ class SelectedVocabulary:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "SelectedVocabulary":
-        base = Vocabulary(tuple(obj["words"]))
-        scores = tuple(float(s) for s in obj["chi2"])
-        ratio = float(obj["ratio"])
+    def from_json_obj(cls, obj: dict, pointer: str = "") -> "SelectedVocabulary":
+        words = tuple(expect_items(expect(obj, "words", list, pointer), str, f"{pointer}/words"))
+        try:
+            base = Vocabulary(words)
+        except ValueError as exc:
+            raise SchemaError(str(exc), f"{pointer}/words") from None
+        chi2 = expect(obj, "chi2", list, pointer)
+        scores = tuple(float(s) for s in expect_items(chi2, NUMBER, f"{pointer}/chi2", len(words)))
+        ratio = float(expect(obj, "ratio", NUMBER, pointer))
+        if not 0.0 < ratio <= 1.0:
+            raise SchemaError(f"ratio must be in (0, 1], got {ratio}", f"{pointer}/ratio")
         return cls(base=base, selected=_rank_and_cut(base.words, scores, ratio),
                    ratio=ratio, scores=scores)
 

@@ -7,6 +7,7 @@ the active methods of each stack-frame class, weighted by 1/d where d is
 the frame's 1-based distance from the crash method; for callback APIs the
 matching non-overridden callbacks of each stack-frame class are appended
 in frame order. Category C averages crash similarity per sub-category.
+``Pipeline`` pairs a trained categorizer with these locators.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .appmodel import (
     invokers_of,
     links,
     non_overridden_callbacks,
+    parse_method_ref,
 )
 from .errors import CrashLocError, EmptyPool, LocateError, NoDeveloperFrame, UnknownClass
 from .nb import Category, NBModel, predict
@@ -79,11 +81,7 @@ class LocalizationResult:
 
     def rank_of(self, true_location: str) -> int | None:
         """1-based rank of the true location, or None when absent."""
-        target_method = None
-        if "#" in true_location:
-            from .appmodel import parse_method_ref
-
-            target_method = parse_method_ref(true_location)
+        target_method = parse_method_ref(true_location) if "#" in true_location else None
         for position, (loc, _) in enumerate(self.ranked, 1):
             if isinstance(loc, SubCategory):
                 if loc.value == true_location:
@@ -138,6 +136,18 @@ def infer_handled_api(
     return nearest.api_h, provenance
 
 
+def _known_frames(report: CrashReport, model: AppModel, members_of):
+    """(distance, frame, members_of(model, class)) per developer frame whose
+    class the app model declares; the others are skipped with a warning."""
+    for d, frame in enumerate(report.developer_frames, 1):
+        try:
+            members = members_of(model, frame.class_name)
+        except UnknownClass:
+            logger.warning("skipping frame %s: class not in app model", frame.qualified_name)
+            continue
+        yield d, frame, members
+
+
 def locate_category_b(
     report: CrashReport,
     model: AppModel,
@@ -158,13 +168,7 @@ def locate_category_b(
     if api.kind == API_KIND_CALL_IN:
         invokers = invokers_of(model, api)
         scores = {s.canonical(): 0.0 for s in invokers}
-        for d, frame in enumerate(report.developer_frames, 1):
-            try:
-                frame_methods = active_methods(model, frame.class_name)
-            except UnknownClass:
-                logger.warning("skipping frame %s: class not in app model",
-                               frame.qualified_name)
-                continue
+        for d, _, frame_methods in _known_frames(report, model, active_methods):
             for s in invokers:
                 for am in frame_methods:
                     if links(model, s, am, depth):
@@ -176,13 +180,7 @@ def locate_category_b(
     else:
         ranked = []
         seen = set()
-        for d, frame in enumerate(report.developer_frames, 1):
-            try:
-                callbacks = non_overridden_callbacks(model, frame.class_name)
-            except UnknownClass:
-                logger.warning("skipping frame %s: class not in app model",
-                               frame.qualified_name)
-                continue
+        for d, frame, callbacks in _known_frames(report, model, non_overridden_callbacks):
             for nc in callbacks:
                 if not inherits_from(model, nc, api):
                     continue
@@ -233,6 +231,42 @@ def locate_category_c(
     )
 
 
+@dataclass(frozen=True)
+class Pipeline:
+    """A fitted two-phase localizer: the categorizer (``nb`` carries the
+    selected vocabulary) and the labeled crashes the B and C locators use."""
+
+    nb: NBModel
+    training_b: tuple["LabeledCrash", ...]
+    training_c: tuple["LabeledCrash", ...]
+    links_depth: int = 5
+
+    @classmethod
+    def from_corpus(cls, nb: NBModel, corpus: Sequence["LabeledCrash"], links_depth: int = 5):
+        return cls(
+            nb=nb,
+            training_b=tuple(c for c in corpus if c.category is Category.B),
+            training_c=tuple(c for c in corpus if c.category is Category.C),
+            links_depth=links_depth,
+        )
+
+    def categorize(self, report: CrashReport) -> Category:
+        """Phase 1: the most probable category of ``report``."""
+        return predict(self.nb, vectorize(report, self.nb.selected_vocab))[0]
+
+    def locate_as(
+        self, category: Category, report: CrashReport, app_model: AppModel | None
+    ) -> LocalizationResult:
+        """Phase 2: rank locations with the locator of ``category``."""
+        if category is Category.A:
+            return locate_category_a(report)
+        if category is Category.B:
+            if app_model is None:
+                raise LocateError("locate", "crash categorized as B but no app model given")
+            return locate_category_b(report, app_model, self.training_b, self.links_depth)
+        return locate_category_c(report, self.training_c)
+
+
 def locate(
     report: CrashReport,
     model: AppModel | None,
@@ -244,23 +278,14 @@ def locate(
     _require_split(report)
     if nb.selected_vocab is None:
         raise LocateError("categorize", "model bundle carries no vocabulary")
+    pipeline = Pipeline.from_corpus(nb, corpus, depth)
     try:
-        category, _ = predict(nb, vectorize(report, nb.selected_vocab))
+        category = pipeline.categorize(report)
     except CrashLocError as exc:
         raise LocateError("categorize", str(exc)) from exc
     try:
-        if category is Category.A:
-            result = locate_category_a(report)
-        elif category is Category.B:
-            if model is None:
-                raise LocateError("locate", "crash categorized as B but no app model given")
-            training_b = [c for c in corpus if c.category is Category.B]
-            result = locate_category_b(report, model, training_b, depth)
-        else:
-            training_c = [c for c in corpus if c.category is Category.C]
-            result = locate_category_c(report, training_c)
+        return pipeline.locate_as(category, report, model)
     except LocateError:
         raise
     except CrashLocError as exc:
         raise LocateError("locate", str(exc)) from exc
-    return result

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import DimensionMismatch, EmptyCorpus
+from .errors import NUMBER, DimensionMismatch, EmptyCorpus, expect, expect_items
 from .features import FeatureVector, SelectedVocabulary
 
 
@@ -54,11 +54,21 @@ class NBModel:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict, selected_vocab: SelectedVocabulary | None = None) -> "NBModel":
-        priors = tuple(float(obj["priors"][c.value]) for c in CATEGORIES)
-        cond = tuple(tuple(float(p) for p in row) for row in obj["conditionals"])
-        return cls(priors=priors, cond=cond, smoothing=float(obj["smoothing"]),
-                   selected_vocab=selected_vocab)
+    def from_json_obj(
+        cls, obj: dict, selected_vocab: SelectedVocabulary | None = None, pointer: str = ""
+    ) -> "NBModel":
+        priors = expect(obj, "priors", dict, pointer)
+        priors = tuple(float(expect(priors, c.value, NUMBER, f"{pointer}/priors"))
+                       for c in CATEGORIES)
+        n_rows = None if selected_vocab is None else len(selected_vocab)  # one per selected word
+        rows = expect_items(expect(obj, "conditionals", list, pointer), list,
+                            f"{pointer}/conditionals", n_rows)
+        cond = tuple(
+            tuple(float(p) for p in expect_items(row, NUMBER, f"{pointer}/conditionals/{i}", 3))
+            for i, row in enumerate(rows)
+        )
+        smoothing = float(expect(obj, "smoothing", NUMBER, pointer))
+        return cls(priors=priors, cond=cond, smoothing=smoothing, selected_vocab=selected_vocab)
 
 
 def train(

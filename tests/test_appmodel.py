@@ -90,6 +90,18 @@ def test_schema_error_reports_pointer():
     assert "/classes/0" in str(exc.value)
 
 
+def test_boolean_position_rejected():
+    with pytest.raises(SchemaError) as exc:
+        _model(
+            classes=[_class("com.b.Sink", active=["com.b.Sink#take(com.a.Source)"])],
+            param_flows=[
+                {"callee": "com.b.Sink#take(com.a.Source)", "position": True,
+                 "class_name": "com.a.Source"}
+            ],
+        )
+    assert exc.value.pointer == "/param_flows/0/position"
+
+
 def test_callback_outside_chain_rejected():
     with pytest.raises(DanglingRef):
         _model(

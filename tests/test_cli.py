@@ -9,6 +9,10 @@ import sys
 import pytest
 
 from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, REPO_ROOT
+from crashloc import cli
+from crashloc.corpus import load_corpus
+from crashloc.localizer import locate
+from crashloc.trace import FrameworkMatcher, parse_and_split
 
 
 def run_cli(*args, env_extra=None):
@@ -132,10 +136,7 @@ def test_evaluate_perfect_categorization_flag():
 
 
 def test_evaluate_pretty_and_jobs():
-    proc = run_cli(
-        "evaluate", "--corpus", str(CORPUS_PATH), "--seed", "0",
-        "--jobs", "2", "--pretty",
-    )
+    proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH), "--seed", "0", "--pretty")
     assert proc.returncode == 0, proc.stderr
     assert "Localization end to end" in proc.stdout
 
@@ -178,3 +179,85 @@ def test_config_env_var_sets_defaults(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout)
     assert summary["selected_features"] == summary["vocabulary_size"]
+
+
+def _drop(obj, section, key):
+    del obj[section][key]
+    return obj
+
+
+@pytest.mark.parametrize("command", ["locate", "inspect"])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: 5,
+        lambda obj: {**obj, "config": 5},
+        lambda obj: _drop(obj, "nb", "priors"),
+        lambda obj: _drop(obj, "selected_vocab", "words"),
+    ],
+    ids=["not-an-object", "config-not-an-object", "no-nb-priors", "no-vocab-words"],
+)
+def test_malformed_bundle_exits_2_with_pointer(bundle, tmp_path, command, mutate):
+    path, _ = bundle
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads(path.read_text(encoding="utf-8")))),
+                   encoding="utf-8")
+    if command == "locate":
+        proc = run_cli("locate", str(CRASH_DIR / "a1_notes_npe.log"), "--model", str(bad),
+                       "--corpus", str(CORPUS_PATH))
+    else:
+        proc = run_cli("inspect", str(bad))
+    assert proc.returncode == 2, proc.stderr
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["error"] == "SchemaError"
+    assert error["pointer"].startswith("/")
+
+
+def test_locate_takes_settings_from_bundle(tmp_path, monkeypatch, capsys):
+    # Train without "android." among the prefixes and with depth 1; at
+    # locate time a config file asking for other values must not matter.
+    trained_prefixes = ["java.", "androidx."]
+    train_config = tmp_path / "train.json"
+    train_config.write_text(json.dumps({"framework_prefixes": trained_prefixes}),
+                            encoding="utf-8")
+    other_config = tmp_path / "other.json"
+    other_config.write_text(json.dumps({"links_depth": 4}), encoding="utf-8")
+    out = tmp_path / "bundle.json"
+    monkeypatch.setenv("CRASHLOC_CONFIG", str(train_config))
+    assert cli.main(["train", "--corpus", str(CORPUS_PATH), "--model", str(out),
+                     "--links-depth", "1"]) == 0
+    saved = json.loads(out.read_text(encoding="utf-8"))["config"]
+    assert (saved["framework_prefixes"], saved["links_depth"]) == (trained_prefixes, 1)
+
+    seen = []
+
+    def spy(report, model, corpus, nb, depth):
+        seen.append((report, corpus, depth))
+        return locate(report, model, corpus, nb, depth)
+
+    monkeypatch.setattr(cli, "locate", spy)
+    monkeypatch.setenv("CRASHLOC_CONFIG", str(other_config))
+    log = CRASH_DIR / "c_manifest_permission.log"
+    args = ["locate", str(log), "--model", str(out), "--corpus", str(CORPUS_PATH)]
+    cli.main(args)
+    cli.main([*args, "--links-depth", "3"])
+    capsys.readouterr()
+
+    trained = FrameworkMatcher(tuple(trained_prefixes))
+    expected = parse_and_split(log.read_text(encoding="utf-8"), trained)
+    assert expected != parse_and_split(log.read_text(encoding="utf-8"), FrameworkMatcher())
+    assert [(r, d) for r, _, d in seen] == [(expected, 1), (expected, 3)]
+    assert seen[0][1] == load_corpus(CORPUS_PATH, trained)
+
+
+def test_stderr_carries_json_lines_only(bundle):
+    path, _ = bundle
+    proc = run_cli(
+        "locate", str(CRASH_DIR / "b_fengshui_downgrade.log"),
+        "--model", str(path), "--corpus", str(CORPUS_PATH),
+        "--app-model", str(APP_MODELS / "geography.json"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert records and all(r["level"] == "WARNING" for r in records)
+    assert "class not in app model" in records[0]["message"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from crashloc.config import Config, DEFAULT_FRAMEWORK_PREFIXES, load_config
+from crashloc.config import Config, DEFAULT_FRAMEWORK_PREFIXES, config_from_json_obj, load_config
 from crashloc.errors import SchemaError
 
 
@@ -50,3 +50,25 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text('{"mystery": 1}', encoding="utf-8")
     with pytest.raises(SchemaError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "obj, pointer",
+    [
+        (5, "/config"),
+        ({"framework_prefixes": "android."}, "/config/framework_prefixes"),
+        ({"framework_prefixes": ["android.", 7]}, "/config/framework_prefixes/1"),
+        ({"links_depth": "deep"}, "/config"),
+        ({"mystery": 1}, "/config/mystery"),
+    ],
+)
+def test_config_from_json_obj_rejects_bad_shapes(obj, pointer):
+    with pytest.raises(SchemaError) as exc:
+        config_from_json_obj(obj, "/config")
+    assert exc.value.pointer == pointer
+
+
+def test_config_from_json_obj_roundtrips_every_field():
+    config = Config(framework_prefixes=("android.",), chi2_ratio=0.25, nb_smoothing=0.5,
+                    links_depth=2, kfold_k=4, seed=7)
+    assert config_from_json_obj(config.to_json_obj()) == config

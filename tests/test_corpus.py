@@ -74,6 +74,9 @@ def test_entry_validation_errors(matcher):
         labeled_crash_from_json(_entry(sub_category="Cosmic"), matcher)
     with pytest.raises(SchemaError):
         labeled_crash_from_json(_entry(crash_log="not a crash"), matcher)
+    with pytest.raises(SchemaError) as exc:
+        labeled_crash_from_json(_entry(crash_log=5), matcher, pointer="/3")
+    assert exc.value.pointer == "/3/crash_log"
     with pytest.raises(SchemaError):
         entry = _entry()
         del entry["true_location"]

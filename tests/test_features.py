@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crashloc.corpus import LabeledCrash
-from crashloc.errors import EmptyCorpus
+from crashloc.errors import EmptyCorpus, SchemaError
 from crashloc.features import (
     SelectedVocabulary,
     Vocabulary,
@@ -189,6 +189,23 @@ def test_selected_vocabulary_json_roundtrip(corpus):
     text = json.dumps(obj)
     back = SelectedVocabulary.from_json_obj(json.loads(text))
     assert back == sel
+
+
+@pytest.mark.parametrize(
+    "obj, pointer",
+    [
+        ([], "/sv"),
+        ({"ratio": 0.5, "chi2": []}, "/sv"),
+        ({"ratio": 0.5, "words": ["a", 1], "chi2": [0.0, 0.0]}, "/sv/words/1"),
+        ({"ratio": 0.5, "words": ["a", "a"], "chi2": [0.0, 0.0]}, "/sv/words"),
+        ({"ratio": 0.5, "words": ["a", "b"], "chi2": [0.0]}, "/sv/chi2"),
+        ({"ratio": 0.0, "words": ["a"], "chi2": [0.0]}, "/sv/ratio"),
+    ],
+)
+def test_selected_vocabulary_from_json_obj_reports_bad_shapes(obj, pointer):
+    with pytest.raises(SchemaError) as exc:
+        SelectedVocabulary.from_json_obj(obj, "/sv")
+    assert exc.value.pointer == pointer
 
 
 @given(st.lists(st.sampled_from(["tok1", "tok2", "tok3", "tok4"]), min_size=1, max_size=4))

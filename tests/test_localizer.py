@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crashloc.appmodel import ApiRef, load_app_model
+from crashloc.config import Config
 from crashloc.corpus import LabeledCrash, load_corpus
 from crashloc.errors import EmptyPool, LocateError, NoDeveloperFrame
+from crashloc.evaluation import fit
 from crashloc.features import build_vocabulary, chi_square_select, vectorize
 from crashloc.localizer import (
+    Pipeline,
     SubCategory,
     infer_handled_api,
     locate,
@@ -329,6 +332,26 @@ def test_locate_category_b_without_model_fails(corpus_module, trained, matcher):
     with pytest.raises(LocateError) as exc:
         locate(report, None, corpus_module, trained)
     assert exc.value.phase == "locate"
+
+
+def test_pipeline_dispatch_raises_raw_errors_and_locate_wraps_them(corpus_module, trained,
+                                                                   matcher):
+    report = _crash("c_manifest_permission.log", matcher)
+    no_c = [c for c in corpus_module if c.category is not Category.C]
+    with pytest.raises(EmptyPool):
+        Pipeline.from_corpus(trained, no_c).locate_as(Category.C, report, None)
+    with pytest.raises(LocateError) as exc:
+        locate(report, None, no_c, trained)
+    assert exc.value.phase == "locate"
+    assert isinstance(exc.value.__cause__, EmptyPool)
+
+
+def test_fit_pipeline_matches_hand_trained_parts(corpus_module, trained):
+    pipeline = fit(corpus_module, Config())
+    assert pipeline.nb == trained
+    assert pipeline.training_b == tuple(c for c in corpus_module if c.category is Category.B)
+    assert pipeline.training_c == tuple(c for c in corpus_module if c.category is Category.C)
+    assert pipeline.links_depth == Config().links_depth
 
 
 def test_locate_dispatches_category_c(corpus_module, trained, matcher):

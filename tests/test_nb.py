@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from crashloc.errors import DimensionMismatch, EmptyCorpus
+from crashloc.errors import DimensionMismatch, EmptyCorpus, SchemaError
 from crashloc.nb import CATEGORIES, Category, NBModel, predict, train
 
 
@@ -108,6 +108,25 @@ def test_serialization_field_order_and_determinism():
     back = NBModel.from_json_obj(obj)
     assert back.priors == train(corpus, 1.0).priors
     assert back.cond == train(corpus, 1.0).cond
+
+
+@pytest.mark.parametrize(
+    "change, pointer",
+    [
+        (lambda obj: obj.pop("priors"), "/nb"),
+        (lambda obj: obj["priors"].update(B="half"), "/nb/priors/B"),
+        (lambda obj: obj["conditionals"][1].pop(), "/nb/conditionals/1"),
+        (lambda obj: obj["conditionals"][0].__setitem__(2, True), "/nb/conditionals/0/2"),
+        (lambda obj: obj.update(smoothing=None), "/nb/smoothing"),
+    ],
+    ids=["no-priors", "string-prior", "short-row", "boolean-cell", "null-smoothing"],
+)
+def test_from_json_obj_reports_bad_shapes(change, pointer):
+    obj = train([([1, 0], Category.A), ([0, 1], Category.B)], 1.0).to_json_obj()
+    change(obj)
+    with pytest.raises(SchemaError) as exc:
+        NBModel.from_json_obj(obj, None, "/nb")
+    assert exc.value.pointer == pointer
 
 
 # ---------------------------------------------------------------------------
