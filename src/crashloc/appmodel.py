@@ -15,12 +15,14 @@ Active methods are the methods with actual code bodies declared in a class;
 non-overridden callbacks are inherited callback APIs the class never
 overrides, recorded with their defining framework class. Loading validates
 every reference and rejects dangling ones; the loaded model is immutable
-and all queries are pure.
+and all queries are pure. The call graph that ``links`` and ``invokers_of``
+walk is derived once per model, on the first such query.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DanglingRef, SchemaError, UnknownClass, expect, read_json
@@ -34,7 +36,7 @@ _METHOD_REF_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodRef:
     class_name: str
     method_name: str
@@ -56,7 +58,7 @@ class MethodRef:
         return self.signature == other.signature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApiRef:
     class_name: str
     method_name: str
@@ -81,7 +83,7 @@ class ApiRef:
         return cls(str(obj["class_name"]), str(obj["method_name"]), str(obj["kind"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassDef:
     name: str
     superclasses: tuple[str, ...]
@@ -101,6 +103,64 @@ class AppModel:
             return self.classes[name]
         except KeyError:
             raise UnknownClass(f"class {name!r} is not declared in the app model") from None
+
+    @cached_property
+    def call_graph(self) -> "CallGraph":
+        """The invocation graph over int ids, built on first use; not part of ``==``."""
+        return CallGraph.build(self)
+
+
+@dataclass(frozen=True, slots=True)
+class CallGraph:
+    """An app model's invocations and param flows, indexed for the Category-B queries.
+
+    Ids number developer methods: the declared methods in declaration order,
+    then each developer callee written differently from its declaration
+    (``m( )`` for ``m()``), which keeps its own fields for ``same_method``
+    and shares its declaration's out-edges, as the canonical strings agree.
+    """
+
+    ids: dict  # canonical string -> id of the declared method
+    refs: tuple  # id -> MethodRef
+    by_name: dict  # (class, method) -> ids
+    succ: tuple  # id -> developer callee ids, in model order
+    flows: dict  # param-flow callee (class, method) -> ((callee, class name), ...)
+    invokers: dict  # callee (class, method) -> callers, in model order
+
+    @classmethod
+    def build(cls, model: AppModel) -> "CallGraph":
+        refs = [ref for cdef in model.classes.values() for ref in cdef.active_methods]
+        ids = {ref.canonical(): i for i, ref in enumerate(refs)}
+        ref_ids = {ref: i for i, ref in enumerate(refs)}
+        out: list = [[] for _ in refs]
+        invokers: dict = {}  # callee (class, method) -> {caller id: first caller ref}
+        for caller, callees in model.invocations:
+            caller_id = ids[caller.canonical()]
+            edges = out[caller_id]
+            for callee in callees:
+                if callee.is_developer:
+                    if callee not in ref_ids:
+                        ref_ids[callee] = len(refs)
+                        refs.append(callee)
+                    edges.append(ref_ids[callee])
+                key = (callee.class_name, callee.method_name)
+                invokers.setdefault(key, {}).setdefault(caller_id, caller)
+        declared_succ = [tuple(edges) for edges in out]
+        by_name: dict = {}
+        for i, ref in enumerate(refs):
+            by_name.setdefault((ref.class_name, ref.method_name), []).append(i)
+        flows: dict = {}
+        for callee, _, class_name in model.param_flows:
+            flows.setdefault((callee.class_name, callee.method_name), []).append(
+                (callee, class_name))
+        return cls(
+            ids=ids,
+            refs=tuple(refs),
+            by_name={key: tuple(v) for key, v in by_name.items()},
+            succ=tuple(declared_succ[ids[ref.canonical()]] for ref in refs),
+            flows={key: tuple(v) for key, v in flows.items()},
+            invokers={key: tuple(v.values()) for key, v in invokers.items()},
+        )
 
 
 def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") -> MethodRef:
@@ -243,17 +303,7 @@ def app_model_from_json(obj: dict) -> AppModel:
 
 def invokers_of(model: AppModel, api: ApiRef) -> list[MethodRef]:
     """Developer methods with an invocation edge to the API, in model order."""
-    found = []
-    seen = set()
-    for caller, callees in model.invocations:
-        if caller.canonical() in seen:
-            continue
-        for callee in callees:
-            if callee.class_name == api.class_name and callee.method_name == api.method_name:
-                found.append(caller)
-                seen.add(caller.canonical())
-                break
-    return found
+    return list(model.call_graph.invokers.get((api.class_name, api.method_name), ()))
 
 
 def active_methods(model: AppModel, class_name: str) -> list[MethodRef]:
@@ -276,27 +326,30 @@ def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5) -> bool:
     Any of: (1) ``am`` reaches ``s`` through invocation edges within
     ``depth`` hops, (2) both are declared in the same class, (3) an
     instance of ``s``'s declaring class flows into ``am`` as a parameter.
+    The search visits only the methods within ``depth`` hops of ``am``.
     """
     if s.class_name == am.class_name:
         return True
-    for callee, _, class_name in model.param_flows:
-        if callee.same_method(am) and class_name == s.class_name:
+    graph = model.call_graph
+    for callee, class_name in graph.flows.get((am.class_name, am.method_name), ()):
+        if class_name == s.class_name and callee.same_method(am):
             return True
-    edges: dict = {}
-    for caller, callees in model.invocations:
-        edges.setdefault(caller.canonical(), []).extend(
-            c for c in callees if c.is_developer
-        )
-    frontier = [am]
-    visited = {am.canonical()}
+    start = graph.ids.get(am.canonical())
+    targets = {i for i in graph.by_name.get((s.class_name, s.method_name), ())
+               if graph.refs[i].same_method(s)}
+    if start is None or not targets:
+        return False
+    succ = graph.succ
+    frontier = [start]
+    visited = {start}
     for _ in range(depth):
         next_frontier = []
         for method in frontier:
-            for callee in edges.get(method.canonical(), []):
-                if callee.same_method(s):
+            for callee in succ[method]:
+                if callee in targets:
                     return True
-                if callee.canonical() not in visited:
-                    visited.add(callee.canonical())
+                if callee not in visited:
+                    visited.add(callee)
                     next_frontier.append(callee)
         if not next_frontier:
             break

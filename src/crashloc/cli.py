@@ -213,8 +213,17 @@ def _inspect_json_object(obj: dict) -> dict:
     raise SchemaError("file is neither a corpus, a model bundle, nor an app model", "/")
 
 
+class _JsonArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as one JSON line on stderr, like every other error."""
+
+    def error(self, message: str):
+        print(json.dumps({"error": "UsageError", "message": f"{self.prog}: {message}"}),
+              file=sys.stderr)
+        self.exit(EXIT_INPUT_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonArgumentParser(
         prog="crashloc",
         description="Locate Android framework-specific crashing faults.",
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import SchemaError, expect_items, read_json
+from .errors import NUMBER, SchemaError, expect, expect_items, read_json
 
 # Package prefixes treated as Android framework code when splitting traces.
 DEFAULT_FRAMEWORK_PREFIXES = (
@@ -51,6 +51,11 @@ class Config:
         return obj | {"framework_prefixes": list(self.framework_prefixes)}
 
 
+# JSON value kinds accepted per scalar Config field, keyed by its annotation
+# (a string, as this module postpones the evaluation of annotations).
+_FIELD_KINDS = {"int": int, "float": NUMBER}
+
+
 def config_from_json_obj(obj, pointer: str = "") -> Config:
     """Validate a JSON object as a Config; absent keys keep their defaults."""
     if not isinstance(obj, dict):
@@ -59,6 +64,9 @@ def config_from_json_obj(obj, pointer: str = "") -> Config:
     for key in obj:
         if key not in known:
             raise SchemaError(f"unknown config key {key!r}", f"{pointer}/{key}")
+    for f in fields(Config):
+        if f.name in obj and f.type in _FIELD_KINDS:
+            expect(obj, f.name, _FIELD_KINDS[f.type], pointer)
     values = dict(obj)
     if "framework_prefixes" in obj:
         values["framework_prefixes"] = tuple(

@@ -24,7 +24,7 @@ from .nb import Category
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledCrash:
     report: CrashReport
     category: Category

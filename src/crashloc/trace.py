@@ -35,7 +35,7 @@ _FILE_LINE_RE = re.compile(r"^(?P<file>.+):(?P<line>\d+)$")
 _CAUSED_BY_RE = re.compile(r"^\s*Caused by:")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StackFrame:
     """One ``at`` line; index 0 is the topmost frame."""
 
@@ -72,7 +72,7 @@ class FrameworkMatcher:
         return self.match(class_name) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrashReport:
     """A parsed crash. Split fields are None until split_frames has run.
 

@@ -1,0 +1,234 @@
+"""The indexed call-graph queries agree with the direct walks they replaced.
+
+``reference_invokers_of`` and ``reference_links`` scan ``model.invocations``
+and ``model.param_flows`` on every call; they are kept here, unchanged, as
+the oracle for ``appmodel.invokers_of`` and ``appmodel.links``.
+"""
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crashloc.appmodel import (
+    ApiRef,
+    AppModel,
+    MethodRef,
+    app_model_from_json,
+    invokers_of,
+    links,
+    load_app_model,
+    parse_method_ref,
+)
+
+from conftest import APP_MODELS
+
+DEPTHS = range(7)
+
+
+def reference_invokers_of(model: AppModel, api: ApiRef) -> list[MethodRef]:
+    """Developer methods with an invocation edge to the API, in model order."""
+    found = []
+    seen = set()
+    for caller, callees in model.invocations:
+        if caller.canonical() in seen:
+            continue
+        for callee in callees:
+            if callee.class_name == api.class_name and callee.method_name == api.method_name:
+                found.append(caller)
+                seen.add(caller.canonical())
+                break
+    return found
+
+
+def reference_links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5) -> bool:
+    """True when the two developer methods are plausibly related.
+
+    Any of: (1) ``am`` reaches ``s`` through invocation edges within
+    ``depth`` hops, (2) both are declared in the same class, (3) an
+    instance of ``s``'s declaring class flows into ``am`` as a parameter.
+    """
+    if s.class_name == am.class_name:
+        return True
+    for callee, _, class_name in model.param_flows:
+        if callee.same_method(am) and class_name == s.class_name:
+            return True
+    edges: dict = {}
+    for caller, callees in model.invocations:
+        edges.setdefault(caller.canonical(), []).extend(
+            c for c in callees if c.is_developer
+        )
+    frontier = [am]
+    visited = {am.canonical()}
+    for _ in range(depth):
+        next_frontier = []
+        for method in frontier:
+            for callee in edges.get(method.canonical(), []):
+                if callee.same_method(s):
+                    return True
+                if callee.canonical() not in visited:
+                    visited.add(callee.canonical())
+                    next_frontier.append(callee)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return False
+
+
+# Method slots a class may declare: (method, signature text or None). Their
+# canonical strings are pairwise distinct, so any subset is a valid class.
+# The same method name recurs with several signatures (overloads) and with
+# none at all.
+SLOTS = (
+    ("run", None),
+    ("run", ""),
+    ("run", "int"),
+    ("run", "int,java.lang.String"),
+    ("stop", None),
+    ("stop", "long"),
+    ("onClick", ""),
+)
+CLASS_NAMES = ("com.app.Main", "com.app.Helper", "com.app.Store", "com.lib.Util")
+API_REFS = (
+    ("android.app.Service", "bindService", "call-in"),
+    ("android.content.Context", "run", "call-in"),
+    ("android.app.Activity", "onResume", "callback"),
+    # Shares a developer class and method name: callees of this name whose
+    # signature no class declares resolve to the API, not to a developer.
+    ("com.app.Main", "run", "call-in"),
+)
+
+
+def _spellings(cls: str, method: str, sig: str | None) -> list[str]:
+    """Texts that load as a reference to the declared method ``cls#method(sig)``."""
+    if sig is None:
+        return [f"{cls}#{method}"]
+    texts = [f"{cls}#{method}({sig})"]
+    if "," in sig:
+        texts.append(f"{cls}#{method}({sig.replace(',', ', ')})")
+    if sig == "":
+        # Parses to the signature ("",), whose canonical string is ``m()``.
+        texts.append(f"{cls}#{method}( )")
+    return texts
+
+
+@st.composite
+def app_model_json(draw):
+    n_classes = draw(st.integers(1, len(CLASS_NAMES)))
+    declared = []
+    classes = []
+    for name in CLASS_NAMES[:n_classes]:
+        slots = draw(st.lists(st.sampled_from(SLOTS), min_size=1, max_size=4, unique=True))
+        declared.extend((name, method, sig) for method, sig in slots)
+        classes.append({
+            "name": name,
+            "superclasses": ["java.lang.Object"],
+            "active_methods": [_spellings(name, m, sig)[0] for m, sig in slots],
+            "non_overridden_callbacks": [],
+        })
+    apis = draw(st.lists(st.sampled_from(API_REFS), max_size=len(API_REFS), unique=True))
+    declared_texts = {_spellings(*d)[0] for d in declared}
+    api_callees = [
+        text
+        for cls, method, _ in apis
+        for text in (f"{cls}#{method}", f"{cls}#{method}(int)", f"{cls}#{method}(zzz)")
+        if text not in declared_texts
+    ]
+    declared_refs = st.sampled_from(declared).flatmap(
+        lambda d: st.sampled_from(_spellings(*d)))
+    callee = declared_refs | st.sampled_from(api_callees) if api_callees else declared_refs
+    # Callers repeat (duplicate entries), call themselves and form cycles.
+    invocations = draw(st.lists(
+        st.fixed_dictionaries({"caller": declared_refs,
+                               "callees": st.lists(callee, max_size=4)}),
+        max_size=12,
+    ))
+    param_flows = draw(st.lists(
+        st.fixed_dictionaries({
+            "callee": declared_refs,
+            "position": st.integers(0, 2),
+            "class_name": st.sampled_from(CLASS_NAMES + ("com.other.Gone",)),
+        }),
+        max_size=4,
+    ))
+    return {
+        "classes": classes,
+        "invocations": invocations,
+        "param_flows": param_flows,
+        "apis": [{"class_name": c, "method_name": m, "kind": k} for c, m, k in apis],
+    }
+
+
+def _query_refs(model: AppModel) -> list[MethodRef]:
+    """Every method reference the model holds, plus refs it does not declare."""
+    refs = [ref for cdef in model.classes.values() for ref in cdef.active_methods]
+    for caller, callees in model.invocations:
+        refs.append(caller)
+        refs.extend(callees)
+    refs.extend(callee for callee, _, _ in model.param_flows)
+    for cls in CLASS_NAMES[:2] + ("com.other.Gone",):
+        for text in ("run", "run()", "run( )", "run(int)", "run(double)", "stop", "absent"):
+            refs.append(parse_method_ref(f"{cls}#{text}"))
+    return list(dict.fromkeys(refs))
+
+
+def _query_apis(model: AppModel) -> list[ApiRef]:
+    extra = [ApiRef("com.app.Helper", "stop", "call-in"), ApiRef("x.Y", "z", "call-in")]
+    return list(model.apis) + extra
+
+
+def _assert_agrees(model: AppModel) -> None:
+    refs = _query_refs(model)
+    for s in refs:
+        for am in refs:
+            for depth in DEPTHS:
+                assert links(model, s, am, depth) == reference_links(model, s, am, depth), (
+                    s, am, depth)
+    for api in _query_apis(model):
+        assert invokers_of(model, api) == reference_invokers_of(model, api), api
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_model_json())
+def test_indexed_queries_match_reference_on_random_models(obj):
+    _assert_agrees(app_model_from_json(obj))
+
+
+@pytest.mark.parametrize("name", ["fengshui.json", "geography.json"])
+def test_indexed_queries_match_reference_on_fixtures(name):
+    _assert_agrees(load_app_model(APP_MODELS / name))
+
+
+def test_respelled_callee_keeps_its_own_signature():
+    # "m( )" loads as a callee of the declared "m()" but carries the
+    # signature (""), which same_method tells apart from ().
+    model = app_model_from_json({
+        "classes": [
+            {"name": "a.A", "superclasses": [], "active_methods": ["a.A#go()"],
+             "non_overridden_callbacks": []},
+            {"name": "b.B", "superclasses": [], "active_methods": ["b.B#m()"],
+             "non_overridden_callbacks": []},
+        ],
+        "invocations": [{"caller": "a.A#go()", "callees": ["b.B#m( )"]}],
+        "param_flows": [],
+        "apis": [],
+    })
+    go = parse_method_ref("a.A#go()")
+    for text, expected in (("b.B#m()", False), ("b.B#m( )", True), ("b.B#m", True)):
+        s = parse_method_ref(text)
+        assert links(model, s, go, 1) is expected is reference_links(model, s, go, 1)
+
+
+def test_call_graph_is_built_on_first_query_and_left_out_of_equality():
+    obj = json.loads((APP_MODELS / "geography.json").read_text(encoding="utf-8"))
+    model = app_model_from_json(obj)
+    assert "call_graph" not in vars(model)
+    api = model.apis[0]
+    invokers_of(model, api)
+    graph = model.call_graph
+    assert "call_graph" in vars(model)
+    assert model == app_model_from_json(obj)
+    for s in invokers_of(model, api):
+        links(model, s, s, 5)
+    assert model.call_graph is graph

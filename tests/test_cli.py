@@ -181,6 +181,38 @@ def test_config_env_var_sets_defaults(tmp_path):
     assert summary["selected_features"] == summary["vocabulary_size"]
 
 
+def test_config_env_var_with_mistyped_field_exits_2(tmp_path):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"seed": "x"}), encoding="utf-8")
+    proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH),
+                   env_extra={"CRASHLOC_CONFIG": str(config_file)})
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["pointer"] == "/seed"
+
+
+@pytest.mark.parametrize("argv", [("evaluate", "--corpus", str(CORPUS_PATH), "--jobs", "2"),
+                                  ("evaluate",), ()],
+                         ids=["unknown-flag", "missing-corpus", "no-command"])
+def test_usage_errors_are_one_json_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError"
+    assert record["message"].startswith("crashloc")
+    if "--jobs" in argv:
+        assert "unrecognized arguments: --jobs 2" in record["message"]
+
+
+def test_help_stays_plain_text_on_stdout():
+    proc = run_cli("evaluate", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: crashloc evaluate")
+    assert proc.stderr == ""
+
+
 def _drop(obj, section, key):
     del obj[section][key]
     return obj

@@ -58,8 +58,15 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         (5, "/config"),
         ({"framework_prefixes": "android."}, "/config/framework_prefixes"),
         ({"framework_prefixes": ["android.", 7]}, "/config/framework_prefixes/1"),
-        ({"links_depth": "deep"}, "/config"),
+        ({"links_depth": "deep"}, "/config/links_depth"),
         ({"mystery": 1}, "/config/mystery"),
+        ({"seed": "x"}, "/config/seed"),
+        ({"links_depth": 2.5}, "/config/links_depth"),
+        ({"links_depth": True}, "/config/links_depth"),
+        ({"kfold_k": 5.0}, "/config/kfold_k"),
+        ({"chi2_ratio": True}, "/config/chi2_ratio"),
+        ({"nb_smoothing": "1"}, "/config/nb_smoothing"),
+        ({"links_depth": 0}, "/config"),
     ],
 )
 def test_config_from_json_obj_rejects_bad_shapes(obj, pointer):
@@ -72,3 +79,8 @@ def test_config_from_json_obj_roundtrips_every_field():
     config = Config(framework_prefixes=("android.",), chi2_ratio=0.25, nb_smoothing=0.5,
                     links_depth=2, kfold_k=4, seed=7)
     assert config_from_json_obj(config.to_json_obj()) == config
+
+
+def test_config_from_json_obj_takes_ints_for_floats():
+    config = config_from_json_obj({"chi2_ratio": 1, "nb_smoothing": 2})
+    assert (config.chi2_ratio, config.nb_smoothing) == (1, 2)
