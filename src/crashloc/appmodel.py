@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DanglingRef, SchemaError, UnknownClass, expect, read_json
+from .errors import DanglingRef, SchemaError, UnknownClass, expect, expect_items, read_json
 
 API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
@@ -77,10 +77,13 @@ class ApiRef:
 
     @classmethod
     def from_json_obj(cls, obj: dict, pointer: str = "") -> "ApiRef":
-        for key in ("class_name", "method_name", "kind"):
-            if key not in obj:
-                raise SchemaError(f"api reference is missing {key!r}", pointer)
-        return cls(str(obj["class_name"]), str(obj["method_name"]), str(obj["kind"]))
+        class_name = expect(obj, "class_name", str, pointer)
+        method_name = expect(obj, "method_name", str, pointer)
+        kind = expect(obj, "kind", str, pointer)
+        if kind not in API_KINDS:
+            raise SchemaError(f"api kind must be one of {API_KINDS}, got {kind!r}",
+                              f"{pointer}/kind")
+        return cls(class_name, method_name, kind)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,10 +117,8 @@ class AppModel:
 class CallGraph:
     """An app model's invocations and param flows, indexed for the Category-B queries.
 
-    Ids number developer methods: the declared methods in declaration order,
-    then each developer callee written differently from its declaration
-    (``m( )`` for ``m()``), which keeps its own fields for ``same_method``
-    and shares its declaration's out-edges, as the canonical strings agree.
+    Ids number the declared methods in declaration order. A developer
+    callee is its declaration: loading resolves it by canonical string.
     """
 
     ids: dict  # canonical string -> id of the declared method
@@ -129,9 +130,8 @@ class CallGraph:
 
     @classmethod
     def build(cls, model: AppModel) -> "CallGraph":
-        refs = [ref for cdef in model.classes.values() for ref in cdef.active_methods]
+        refs = tuple(ref for cdef in model.classes.values() for ref in cdef.active_methods)
         ids = {ref.canonical(): i for i, ref in enumerate(refs)}
-        ref_ids = {ref: i for i, ref in enumerate(refs)}
         out: list = [[] for _ in refs]
         invokers: dict = {}  # callee (class, method) -> {caller id: first caller ref}
         for caller, callees in model.invocations:
@@ -139,13 +139,9 @@ class CallGraph:
             edges = out[caller_id]
             for callee in callees:
                 if callee.is_developer:
-                    if callee not in ref_ids:
-                        ref_ids[callee] = len(refs)
-                        refs.append(callee)
-                    edges.append(ref_ids[callee])
+                    edges.append(ids[callee.canonical()])
                 key = (callee.class_name, callee.method_name)
                 invokers.setdefault(key, {}).setdefault(caller_id, caller)
-        declared_succ = [tuple(edges) for edges in out]
         by_name: dict = {}
         for i, ref in enumerate(refs):
             by_name.setdefault((ref.class_name, ref.method_name), []).append(i)
@@ -155,9 +151,9 @@ class CallGraph:
                 (callee, class_name))
         return cls(
             ids=ids,
-            refs=tuple(refs),
+            refs=refs,
             by_name={key: tuple(v) for key, v in by_name.items()},
-            succ=tuple(declared_succ[ids[ref.canonical()]] for ref in refs),
+            succ=tuple(tuple(edges) for edges in out),
             flows={key: tuple(v) for key, v in flows.items()},
             invokers={key: tuple(v.values()) for key, v in invokers.items()},
         )
@@ -170,7 +166,7 @@ def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") ->
     sig_text = m.group("sig")
     if sig_text is None:
         signature = None
-    elif sig_text == "":
+    elif not sig_text.strip():
         signature = ()
     else:
         signature = tuple(part.strip() for part in sig_text.split(","))
@@ -199,10 +195,13 @@ def app_model_from_json(obj: dict) -> AppModel:
         name = expect(centry, "name", str, ptr)
         if name in classes:
             raise SchemaError(f"class {name!r} declared twice", f"{ptr}/name")
-        supers = tuple(str(s) for s in expect(centry, "superclasses", list, ptr))
+        supers = tuple(expect_items(expect(centry, "superclasses", list, ptr), str,
+                                    f"{ptr}/superclasses"))
         active = []
-        for mi, mtext in enumerate(expect(centry, "active_methods", list, ptr)):
-            ref = parse_method_ref(str(mtext), True, f"{ptr}/active_methods/{mi}")
+        active_texts = expect_items(expect(centry, "active_methods", list, ptr), str,
+                                    f"{ptr}/active_methods")
+        for mi, mtext in enumerate(active_texts):
+            ref = parse_method_ref(mtext, True, f"{ptr}/active_methods/{mi}")
             if ref.class_name != name:
                 raise SchemaError(
                     f"active method {ref.canonical()!r} is not declared in {name!r}",
@@ -210,9 +209,11 @@ def app_model_from_json(obj: dict) -> AppModel:
                 )
             active.append(ref)
         ncs = []
-        for mi, mtext in enumerate(expect(centry, "non_overridden_callbacks", list, ptr)):
+        nc_texts = expect_items(expect(centry, "non_overridden_callbacks", list, ptr), str,
+                                f"{ptr}/non_overridden_callbacks")
+        for mi, mtext in enumerate(nc_texts):
             nptr = f"{ptr}/non_overridden_callbacks/{mi}"
-            ref = parse_method_ref(str(mtext), False, nptr)
+            ref = parse_method_ref(mtext, False, nptr)
             if ref.class_name not in supers:
                 raise DanglingRef(
                     f"callback {ref.canonical()!r} is defined outside the "
@@ -224,9 +225,8 @@ def app_model_from_json(obj: dict) -> AppModel:
             (m.method_name, m.signature) for m in ncs
         }
         if overlap:
-            raise SchemaError(
-                f"methods both active and non-overridden in {name!r}: {sorted(overlap)}", ptr
-            )
+            raise SchemaError(f"methods both active and non-overridden in {name!r}: "
+                              f"{sorted(overlap, key=str)}", ptr)
         classes[name] = ClassDef(
             name=name,
             superclasses=supers,
@@ -235,15 +235,16 @@ def app_model_from_json(obj: dict) -> AppModel:
         )
 
     declared = {}
-    for cdef in classes.values():
-        for ref in cdef.active_methods:
+    for ci, cdef in enumerate(classes.values()):
+        for mi, ref in enumerate(cdef.active_methods):
             key = ref.canonical()
             if key in declared:
-                raise SchemaError(f"method {key!r} declared twice")
+                raise SchemaError(f"method {key!r} declared twice",
+                                  f"/classes/{ci}/active_methods/{mi}")
             declared[key] = ref
 
     apis = tuple(
-        ApiRef.from_json_obj(a if isinstance(a, dict) else {}, f"/apis/{ai}")
+        ApiRef.from_json_obj(a, f"/apis/{ai}")
         for ai, a in enumerate(expect(obj, "apis", list, ""))
     )
     api_names = {(a.class_name, a.method_name) for a in apis}
@@ -268,10 +269,11 @@ def app_model_from_json(obj: dict) -> AppModel:
         if caller.canonical() not in declared:
             raise DanglingRef(f"caller {caller.canonical()!r} is not a declared method",
                               f"{ptr}/caller")
+        callee_texts = expect_items(expect(ientry, "callees", list, ptr), str, f"{ptr}/callees")
         callees = tuple(
-            resolve_callee(parse_method_ref(str(c), True, f"{ptr}/callees/{ci}"),
+            resolve_callee(parse_method_ref(c, True, f"{ptr}/callees/{ci}"),
                            f"{ptr}/callees/{ci}")
-            for ci, c in enumerate(expect(ientry, "callees", list, ptr))
+            for ci, c in enumerate(callee_texts)
         )
         invocations.append((caller, callees))
 

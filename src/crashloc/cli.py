@@ -1,11 +1,13 @@
 """Command-line front end: train models, locate crashes, evaluate, inspect.
 
 Usage:
-    crashloc train    --corpus corpus.jsonl --model bundle.json
+    crashloc train    --corpus corpus.jsonl --model bundle.json \
+                      [--chi2-ratio R] [--smoothing S] [--links-depth D]
     crashloc locate   crash.log --model bundle.json --corpus corpus.jsonl \
-                      [--app-model model.json] [--pretty]
-    crashloc evaluate --corpus corpus.jsonl [--folds 5] [--seed 0] \
-                      [--perfect-categorization] [--pretty]
+                      [--app-model model.json] [--links-depth D] [--pretty]
+    crashloc evaluate --corpus corpus.jsonl [--app-model model.json] \
+                      [--chi2-ratio R] [--smoothing S] [--links-depth D] \
+                      [--folds K] [--seed N] [--perfect-categorization] [--pretty]
     crashloc inspect  path
 
 Results go to stdout; stderr carries JSON lines only (log records and
@@ -29,7 +31,7 @@ from .appmodel import app_model_from_json, load_app_model
 from .config import Config, config_from_json_obj, load_config
 from .corpus import load_corpus
 from .errors import CrashLocError, LocateError, SchemaError, expect, read_json
-from .evaluation import bucketize, evaluate, fit, render_text
+from .evaluation import bucketize, evaluate, fit, render_bucket_summary, render_text
 from .features import SelectedVocabulary
 from .localizer import locate, location_label
 from .nb import CATEGORIES, NBModel
@@ -61,9 +63,21 @@ class _JsonLogHandler(logging.Handler):
 
 _LOG_HANDLER = _JsonLogHandler()
 
-# (command-line flag, Config field) pairs; a flag that is given overrides the field.
-_FLAG_FIELDS = (("chi2_ratio", "chi2_ratio"), ("smoothing", "nb_smoothing"),
-                ("links_depth", "links_depth"), ("folds", "kfold_k"), ("seed", "seed"))
+# Config field -> (flag, type, help) of the command-line flag that overrides it.
+_CONFIG_FLAGS = {
+    "chi2_ratio": ("--chi2-ratio", float, "fraction of vocabulary kept after feature selection"),
+    "nb_smoothing": ("--smoothing", float, "additive smoothing of the categorizer"),
+    "links_depth": ("--links-depth", int, "max call-chain depth for the linkage check"),
+    "kfold_k": ("--folds", int, "number of cross-validation folds"),
+    "seed": ("--seed", int, "shuffle seed for cross-validation"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """Give ``parser`` the flags of these Config fields, each stored under its field name."""
+    for name in fields:
+        flag, kind, help_text = _CONFIG_FLAGS[name]
+        parser.add_argument(flag, dest=name, type=kind, help=help_text)
 
 
 def _resolve_config(args: argparse.Namespace, base: Config | None = None) -> Config:
@@ -72,7 +86,7 @@ def _resolve_config(args: argparse.Namespace, base: Config | None = None) -> Con
     if config is None:
         env_path = os.environ.get("CRASHLOC_CONFIG")
         config = load_config(env_path) if env_path else Config()
-    overrides = {field: getattr(args, flag, None) for flag, field in _FLAG_FIELDS}
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(Config)}
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -118,10 +132,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
         crash_text = Path(args.crash_log).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read crash log: {exc}") from exc
-    try:
-        report = parse_and_split(crash_text, matcher)
-    except CrashLocError as exc:
-        raise LocateError("parse", str(exc)) from exc
+    report = parse_and_split(crash_text, matcher)
     result = locate(report, app_model, corpus, nb_model, config.links_depth)
     if args.pretty:
         print(f"predicted category: {result.predicted_category.value}")
@@ -142,7 +153,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     protocol = "perfect_categorization" if args.perfect_categorization else "end_to_end"
     report = evaluate(corpus, config, fallback_model=args.app_model, protocol=protocol)
     if args.pretty:
-        print(render_text(report), end="")
+        print(render_text(report) + render_bucket_summary(corpus, report), end="")
     else:
         print(report.to_json())
     return 0
@@ -229,20 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--chi2-ratio", dest="chi2_ratio", type=float, default=None,
-                       help="fraction of vocabulary kept after feature selection")
-        p.add_argument("--smoothing", dest="smoothing", type=float, default=None,
-                       help="additive smoothing of the categorizer")
-        p.add_argument("--links-depth", dest="links_depth", type=int, default=None,
-                       help="max call-chain depth for the linkage check")
-        p.add_argument("--seed", dest="seed", type=int, default=None,
-                       help="shuffle seed for cross-validation")
-
     p_train = sub.add_parser("train", help="train and write a model bundle")
     p_train.add_argument("--corpus", required=True, help="labeled corpus (JSON lines)")
     p_train.add_argument("--model", required=True, help="output bundle path")
-    add_config_flags(p_train)
+    _add_flags(p_train, "chi2_ratio", "nb_smoothing", "links_depth")
     p_train.set_defaults(func=cmd_train)
 
     p_locate = sub.add_parser("locate", help="locate one crash")
@@ -253,26 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
                           help="static app model JSON for Category-B localization")
     p_locate.add_argument("--pretty", action="store_true",
                           help="print a rank table instead of JSON")
-    add_config_flags(p_locate)
+    _add_flags(p_locate, "links_depth")
     p_locate.set_defaults(func=cmd_locate)
 
     p_eval = sub.add_parser("evaluate", help="k-fold cross-validated evaluation")
     p_eval.add_argument("--corpus", required=True, help="labeled corpus (JSON lines)")
     p_eval.add_argument("--app-model", dest="app_model", default=None,
                         help="fallback app model for crashes without one")
-    p_eval.add_argument("--folds", dest="folds", type=int, default=None,
-                        help="number of cross-validation folds")
     p_eval.add_argument("--pretty", action="store_true",
                         help="print text tables instead of JSON")
     p_eval.add_argument("--perfect-categorization", dest="perfect_categorization",
                         action="store_true",
                         help="score localization under the true categories")
-    add_config_flags(p_eval)
+    _add_flags(p_eval, "chi2_ratio", "nb_smoothing", "links_depth", "kfold_k", "seed")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_inspect = sub.add_parser("inspect", help="summarize a corpus, bundle, or app model")
     p_inspect.add_argument("path", help="file to inspect")
-    add_config_flags(p_inspect)
     p_inspect.set_defaults(func=cmd_inspect)
 
     return parser

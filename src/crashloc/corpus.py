@@ -87,7 +87,7 @@ def labeled_crash_from_json(
         raise SchemaError("Category-C entry must carry sub_category", f"{pointer}/sub_category")
 
     app_model = None
-    if obj.get("app_model"):
+    if obj.get("app_model") is not None and expect(obj, "app_model", str, pointer):
         app_model = Path(obj["app_model"])
         if base_dir is not None and not app_model.is_absolute():
             app_model = base_dir / app_model
@@ -95,7 +95,7 @@ def labeled_crash_from_json(
     return LabeledCrash(
         report=report,
         category=category,
-        true_location=str(obj["true_location"]),
+        true_location=expect(obj, "true_location", str, pointer),
         api_h=api_h,
         sub_category=sub_category,
         app_model=app_model,

@@ -390,3 +390,13 @@ def render_text(report: EvalReport) -> str:
             f"{failure['error']}: {failure['message']}"
         )
     return "\n".join(lines) + "\n"
+
+
+def render_bucket_summary(corpus: Sequence[LabeledCrash], report: EvalReport) -> str:
+    """Recall@k and MRR per protocol, counting each bucket of ``corpus`` once."""
+    lines = ["", "Bucket-level summary (one unit per identical framework sub-trace)"]
+    for proto, ranks in report.case_ranks.items():
+        summary = score_summary_by_bucket(corpus, ranks)
+        recalls = "  ".join(f"Recall@{k}={summary['recall_at'][str(k)]:.2f}" for k in RECALL_KS)
+        lines.append(f"{proto}: buckets={summary['buckets']}  {recalls}  MRR={summary['mrr']:.2f}")
+    return "\n".join(lines) + "\n"

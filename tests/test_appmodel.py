@@ -55,6 +55,7 @@ def test_parse_method_ref_variants():
     ref = parse_method_ref("com.a.B#run")
     assert (ref.class_name, ref.method_name, ref.signature) == ("com.a.B", "run", None)
     assert parse_method_ref("com.a.B#run()").signature == ()
+    assert parse_method_ref("com.a.B#run( )") == parse_method_ref("com.a.B#run()")
     ref = parse_method_ref("com.a.B#go(int,java.lang.String)")
     assert ref.signature == ("int", "java.lang.String")
     assert ref.canonical() == "com.a.B#go(int,java.lang.String)"
@@ -270,6 +271,22 @@ def test_inherits_from_walks_declared_chain():
 def test_bad_api_kind_rejected():
     with pytest.raises(SchemaError):
         _model(apis=[{"class_name": "a.B", "method_name": "m", "kind": "weird"}])
+
+
+@pytest.mark.parametrize("kwargs, pointer", [
+    ({"apis": [{"class_name": "a.B", "method_name": "m", "kind": 5}]}, "/apis/0/kind"),
+    ({"apis": [{"class_name": 5, "method_name": "m", "kind": "call-in"}]}, "/apis/0/class_name"),
+    ({"apis": ["a.B#m"]}, "/apis/0"),
+    ({"classes": [_class("a.B", supers=[5])]}, "/classes/0/superclasses/0"),
+    ({"classes": [_class("a.B", active=["a.B#m()", "a.B#m( )"])]}, "/classes/0/active_methods/1"),
+    ({"classes": [_class("a.B", supers=["a.S"], active=["a.B#m", "a.B#m()"],
+                         ncs=["a.S#m", "a.S#m()"])]}, "/classes/0"),
+], ids=["api-kind", "api-class", "api-not-object", "superclass", "declared-twice",
+        "active-and-callback"])
+def test_mistyped_or_conflicting_entries_rejected_with_pointer(kwargs, pointer):
+    with pytest.raises(SchemaError) as exc:
+        _model(**kwargs)
+    assert exc.value.pointer == pointer
 
 
 def test_load_rejects_non_json(tmp_path):

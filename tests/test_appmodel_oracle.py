@@ -108,7 +108,7 @@ def _spellings(cls: str, method: str, sig: str | None) -> list[str]:
     if "," in sig:
         texts.append(f"{cls}#{method}({sig.replace(',', ', ')})")
     if sig == "":
-        # Parses to the signature ("",), whose canonical string is ``m()``.
+        # A blank signature parses to (), like ``m()``.
         texts.append(f"{cls}#{method}( )")
     return texts
 
@@ -200,9 +200,9 @@ def test_indexed_queries_match_reference_on_fixtures(name):
     _assert_agrees(load_app_model(APP_MODELS / name))
 
 
-def test_respelled_callee_keeps_its_own_signature():
-    # "m( )" loads as a callee of the declared "m()" but carries the
-    # signature (""), which same_method tells apart from ().
+def test_respelled_callee_is_its_declaration():
+    # "m( )" loads as a callee of the declared "m()" and is the same method,
+    # under every spelling of the query.
     model = app_model_from_json({
         "classes": [
             {"name": "a.A", "superclasses": [], "active_methods": ["a.A#go()"],
@@ -215,9 +215,9 @@ def test_respelled_callee_keeps_its_own_signature():
         "apis": [],
     })
     go = parse_method_ref("a.A#go()")
-    for text, expected in (("b.B#m()", False), ("b.B#m( )", True), ("b.B#m", True)):
+    for text in ("b.B#m()", "b.B#m( )", "b.B#m"):
         s = parse_method_ref(text)
-        assert links(model, s, go, 1) is expected is reference_links(model, s, go, 1)
+        assert links(model, s, go, 1) is True is reference_links(model, s, go, 1)
 
 
 def test_call_graph_is_built_on_first_query_and_left_out_of_equality():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,16 @@ def test_locate_missing_app_model_on_b_prediction_exits_3(bundle):
     assert error["phase"] == "locate"
 
 
+def test_locate_malformed_crash_log_exits_2(bundle, tmp_path):
+    path, _ = bundle
+    log = tmp_path / "bad.log"
+    log.write_text("not a crash\n", encoding="utf-8")
+    proc = run_cli("locate", str(log), "--model", str(path), "--corpus", str(CORPUS_PATH))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "MissingException"
+
+
 def test_locate_pretty_prints_rank_table(bundle):
     path, _ = bundle
     proc = run_cli(
@@ -139,6 +150,13 @@ def test_evaluate_pretty_and_jobs():
     proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH), "--seed", "0", "--pretty")
     assert proc.returncode == 0, proc.stderr
     assert "Localization end to end" in proc.stdout
+    # The tables end with the bucket-level summary.
+    assert proc.stdout.splitlines()[-3:] == [
+        "Bucket-level summary (one unit per identical framework sub-trace)",
+        "end_to_end: buckets=10  Recall@1=0.90  Recall@5=0.90  Recall@10=0.90  MRR=0.90",
+        "perfect_categorization: buckets=10  Recall@1=1.00  Recall@5=1.00  Recall@10=1.00"
+        "  MRR=1.00",
+    ]
 
 
 def test_inspect_corpus_bundle_and_app_model(bundle):
@@ -190,9 +208,25 @@ def test_config_env_var_with_mistyped_field_exits_2(tmp_path):
     assert json.loads(proc.stderr)["pointer"] == "/seed"
 
 
-@pytest.mark.parametrize("argv", [("evaluate", "--corpus", str(CORPUS_PATH), "--jobs", "2"),
-                                  ("evaluate",), ()],
-                         ids=["unknown-flag", "missing-corpus", "no-command"])
+# The required arguments of each command, so that a flag it lacks is the only error.
+REQUIRED = {
+    "train": ("train", "--corpus", "c.jsonl", "--model", "b.json"),
+    "locate": ("locate", "x.log", "--model", "b.json", "--corpus", "c.jsonl"),
+    "inspect": ("inspect", "x.json"),
+}
+# Flags a command used to accept and ignore.
+REMOVED_FLAGS = [("train", "--seed"), ("locate", "--chi2-ratio"), ("locate", "--smoothing"),
+                 ("locate", "--seed"), ("inspect", "--chi2-ratio"), ("inspect", "--smoothing"),
+                 ("inspect", "--links-depth"), ("inspect", "--seed")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("evaluate", "--corpus", str(CORPUS_PATH), "--jobs", "2"), ("evaluate",), ()]
+    + [(*REQUIRED[command], flag, "1") for command, flag in REMOVED_FLAGS],
+    ids=["unknown-flag", "missing-corpus", "no-command"]
+    + [f"{command}{flag}" for command, flag in REMOVED_FLAGS],
+)
 def test_usage_errors_are_one_json_line(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
@@ -202,8 +236,8 @@ def test_usage_errors_are_one_json_line(argv):
     record = json.loads(lines[0])
     assert record["error"] == "UsageError"
     assert record["message"].startswith("crashloc")
-    if "--jobs" in argv:
-        assert "unrecognized arguments: --jobs 2" in record["message"]
+    if len(argv) > 2:
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in record["message"]
 
 
 def test_help_stays_plain_text_on_stdout():
@@ -211,6 +245,19 @@ def test_help_stays_plain_text_on_stdout():
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: crashloc evaluate")
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", {"--corpus", "--model", "--chi2-ratio", "--smoothing", "--links-depth"}),
+    ("locate", {"--model", "--corpus", "--app-model", "--pretty", "--links-depth"}),
+    ("evaluate", {"--corpus", "--app-model", "--pretty", "--perfect-categorization",
+                  "--chi2-ratio", "--smoothing", "--links-depth", "--folds", "--seed"}),
+    ("inspect", set()),
+])
+def test_each_command_takes_only_the_flags_it_reads(command, flags, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) == flags | {"--help"}
 
 
 def _drop(obj, section, key):

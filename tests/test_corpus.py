@@ -77,6 +77,11 @@ def test_entry_validation_errors(matcher):
     with pytest.raises(SchemaError) as exc:
         labeled_crash_from_json(_entry(crash_log=5), matcher, pointer="/3")
     assert exc.value.pointer == "/3/crash_log"
+    for key, value in (("true_location", 5), ("app_model", 5), ("api_h", "x"),
+                       ("api_h", {"class_name": 5, "method_name": "m", "kind": "call-in"})):
+        with pytest.raises(SchemaError) as exc:
+            labeled_crash_from_json(_entry(**{key: value}), matcher, pointer="/3")
+        assert exc.value.pointer.startswith(f"/3/{key}")
     with pytest.raises(SchemaError):
         entry = _entry()
         del entry["true_location"]
