@@ -12,7 +12,8 @@ Usage:
 
 Results go to stdout; stderr carries JSON lines only (log records and
 error reports). Exit codes: 2 for unusable inputs (missing files, schema
-errors, malformed logs), 3 for localization failures. CRASHLOC_CONFIG may
+errors, malformed logs), 3 for localization failures; a reader that closes
+stdout early ends the command quietly with 0. CRASHLOC_CONFIG may
 point at a JSON config file for train, evaluate and inspect; locate reads
 its settings from the model bundle instead. Flags override either.
 """
@@ -90,6 +91,16 @@ def _resolve_config(args: argparse.Namespace, base: Config | None = None) -> Con
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _bundle_to_obj(nb_model: NBModel, config: Config) -> dict:
+    """The JSON value of a model bundle: training config, selected vocabulary, categorizer."""
+    return {
+        "kind": BUNDLE_KIND,
+        "config": config.to_json_obj(),
+        "selected_vocab": nb_model.selected_vocab.to_json_obj(),
+        "nb": nb_model.to_json_obj(),
+    }
+
+
 def _bundle_from_obj(obj) -> tuple[NBModel, Config]:
     """Categorizer and training config of a model bundle's JSON value."""
     vocab_obj = expect(obj, "selected_vocab", dict, "")
@@ -103,14 +114,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes))
     nb_model = fit(corpus, config).nb
     selected = nb_model.selected_vocab
-    bundle = {
-        "kind": BUNDLE_KIND,
-        "config": config.to_json_obj(),
-        "selected_vocab": selected.to_json_obj(),
-        "nb": nb_model.to_json_obj(),
-    }
     out_path = Path(args.model)
-    out_path.write_text(json.dumps(bundle, indent=2) + "\n", encoding="utf-8")
+    out_path.write_text(json.dumps(_bundle_to_obj(nb_model, config), indent=2) + "\n",
+                        encoding="utf-8")
     summary = {
         "documents": len(corpus),
         "vocabulary_size": len(selected.base),
@@ -280,7 +286,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.getLogger("crashloc").addHandler(_LOG_HANDLER)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``); the rest of the output
+        # goes to /dev/null, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except LocateError as exc:
         _emit_error(exc)
         return EXIT_LOCATE_ERROR

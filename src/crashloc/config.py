@@ -1,10 +1,11 @@
 """Run configuration shared by the CLI, the pipeline, and the evaluation harness."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import NUMBER, SchemaError, expect, expect_items, read_json
+from .errors import NUMBER, SchemaError, expect, expect_between, expect_items, read_json
 
 # Package prefixes treated as Android framework code when splitting traces.
 DEFAULT_FRAMEWORK_PREFIXES = (
@@ -17,6 +18,13 @@ DEFAULT_FRAMEWORK_PREFIXES = (
     "com.android.",
     "dalvik.",
 )
+
+
+def _is_finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,9 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not _is_finite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
         if not (0.0 < self.chi2_ratio <= 1.0):
             raise ValueError(f"chi2_ratio must be in (0, 1], got {self.chi2_ratio}")
         if self.nb_smoothing <= 0:
@@ -67,6 +78,8 @@ def config_from_json_obj(obj, pointer: str = "") -> Config:
     for f in fields(Config):
         if f.name in obj and f.type in _FIELD_KINDS:
             expect(obj, f.name, _FIELD_KINDS[f.type], pointer)
+            if f.type == "float":
+                expect_between(obj, f.name, pointer)
     values = dict(obj)
     if "framework_prefixes" in obj:
         values["framework_prefixes"] = tuple(

@@ -3,6 +3,7 @@ shape checks that raise it."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -118,3 +119,17 @@ def expect_items(values, kind, pointer: str, length: int | None = None) -> list:
         if not _fits(value, kinds):
             raise _mismatch(value, kinds, "item", f"{pointer}/{i}")
     return values
+
+
+def expect_between(obj, key, pointer: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """The number ``obj[key]`` as a float when ``low < obj[key] < high``, else
+    SchemaError; the default bounds reject NaN, the infinities and ints too
+    large for a float."""
+    try:
+        number = float(obj[key])
+    except OverflowError:
+        number = math.nan
+    if not low < number < high:
+        bounds = "finite" if (low, high) == (-math.inf, math.inf) else f"in ({low:g}, {high:g})"
+        raise SchemaError(f"number must be {bounds}, got {obj[key]!r}", f"{pointer}/{key}")
+    return number

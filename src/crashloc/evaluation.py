@@ -29,7 +29,7 @@ from .features import build_vocabulary, chi_square_select, vectorize
 from .localizer import Pipeline
 from .nb import CATEGORIES, Category
 from .nb import train as train_nb
-from .similarity import frame_seq
+from .similarity import group_by_subtrace
 
 # Unused here: bound only so that bench/tracer.py can wrap them under these names.
 from .localizer import locate_category_a, locate_category_b, locate_category_c  # noqa: F401
@@ -129,10 +129,8 @@ class Bucket:
 
 
 def bucketize(corpus: Sequence[LabeledCrash]) -> list[Bucket]:
-    groups: dict[tuple[str, ...], list[LabeledCrash]] = {}
-    for crash in corpus:
-        groups.setdefault(frame_seq(crash.report), []).append(crash)
-    return [Bucket(key=key, members=tuple(members)) for key, members in groups.items()]
+    return [Bucket(key=key, members=tuple(corpus[i] for i in positions))
+            for key, positions in group_by_subtrace(corpus).items()]
 
 
 def score_summary_by_bucket(
@@ -141,8 +139,7 @@ def score_summary_by_bucket(
     """Rank metrics treating each bucket as one unit (first member represents)."""
     if len(results) != len(corpus):
         raise ValueError("results must align with the corpus, one rank per crash")
-    position = {id(crash): i for i, crash in enumerate(corpus)}
-    bucket_ranks = [results[position[id(b.members[0])]] for b in bucketize(corpus)]
+    bucket_ranks = [results[positions[0]] for positions in group_by_subtrace(corpus).values()]
     return {
         "buckets": len(bucket_ranks),
         "recall_at": {str(k): recall_at_k(bucket_ranks, k) for k in RECALL_KS},

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import NUMBER, EmptyCorpus, SchemaError, expect, expect_items
+from .errors import NUMBER, EmptyCorpus, SchemaError, expect, expect_between, expect_items
 from .trace import CrashReport
 
 if TYPE_CHECKING:
@@ -85,8 +85,10 @@ class SelectedVocabulary:
         except ValueError as exc:
             raise SchemaError(str(exc), f"{pointer}/words") from None
         chi2 = expect(obj, "chi2", list, pointer)
-        scores = tuple(float(s) for s in expect_items(chi2, NUMBER, f"{pointer}/chi2", len(words)))
-        ratio = float(expect(obj, "ratio", NUMBER, pointer))
+        expect_items(chi2, NUMBER, f"{pointer}/chi2", len(words))
+        scores = tuple(expect_between(chi2, i, f"{pointer}/chi2") for i in range(len(chi2)))
+        expect(obj, "ratio", NUMBER, pointer)
+        ratio = expect_between(obj, "ratio", pointer)
         if not 0.0 < ratio <= 1.0:
             raise SchemaError(f"ratio must be in (0, 1], got {ratio}", f"{pointer}/ratio")
         return cls(base=base, selected=_rank_and_cut(base.words, scores, ratio),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .appmodel import (
@@ -31,7 +32,7 @@ from .appmodel import (
 from .errors import CrashLocError, EmptyPool, LocateError, NoDeveloperFrame, UnknownClass
 from .nb import Category, NBModel, predict
 from .features import vectorize
-from .similarity import crash_similarity, most_similar
+from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
 from .trace import CrashReport
 
 if TYPE_CHECKING:
@@ -116,21 +117,21 @@ def locate_category_a(report: CrashReport) -> LocalizationResult:
     )
 
 
-def infer_handled_api(
-    report: CrashReport, training_b: Sequence["LabeledCrash"]
-) -> tuple[ApiRef, dict]:
+def infer_handled_api(report: CrashReport, training_b: Pool) -> tuple[ApiRef, dict]:
     """Wrongly handled API of the most similar Category-B training crash."""
-    if not training_b:
+    index = SubtraceIndex.of(training_b)
+    if not index.pool:
         raise EmptyPool("no Category-B training crashes to infer the handled API from")
-    for i, crash in enumerate(training_b):
+    for i, crash in enumerate(index.pool):
         if crash.api_h is None:
             raise ValueError(f"training crash {i} carries no handled-API label")
-    nearest, score = most_similar(report, training_b)
+    nearest, score = most_similar(report, index)
     provenance = {
         "strategy": "nearest_crash",
         "api_h": nearest.api_h.to_json_obj(),
         "similarity": score,
-        "training_index": training_b.index(nearest),
+        # The nearest crash is the first of its sub-trace.
+        "training_index": index.first[frame_seq(nearest.report)],
         "low_confidence": score == 0.0,
     }
     return nearest.api_h, provenance
@@ -151,7 +152,7 @@ def _known_frames(report: CrashReport, model: AppModel, members_of):
 def locate_category_b(
     report: CrashReport,
     model: AppModel,
-    training_b: Sequence["LabeledCrash"],
+    training_b: Pool,
     depth: int = 5,
 ) -> LocalizationResult:
     """Rank out-of-trace developer methods for the inferred handled API.
@@ -201,20 +202,25 @@ def locate_category_b(
     )
 
 
-def locate_category_c(
-    report: CrashReport, training_c: Sequence["LabeledCrash"]
-) -> LocalizationResult:
-    """Rank sub-categories by mean similarity to their training crashes."""
+def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResult:
+    """Rank sub-categories by mean similarity to their training crashes.
+
+    Each distinct sub-trace is scored once; the sums still add one score
+    per training crash in pool order, so the means are those of the
+    per-crash loop to the last bit.
+    """
     _require_split(report)
-    if not training_c:
+    index = SubtraceIndex.of(training_c)
+    if not index.pool:
         raise EmptyPool("no Category-C training crashes to compare against")
+    key_scores = [crash_similarity(report, index.pool[position].report)
+                  for position in index.first.values()]
     sums: dict[SubCategory, float] = {}
     counts: dict[SubCategory, int] = {}
-    for i, crash in enumerate(training_c):
+    for i, (crash, key_id) in enumerate(zip(index.pool, index.key_ids)):
         if crash.sub_category is None:
             raise ValueError(f"training crash {i} carries no sub-category label")
-        score = crash_similarity(report, crash.report)
-        sums[crash.sub_category] = sums.get(crash.sub_category, 0.0) + score
+        sums[crash.sub_category] = sums.get(crash.sub_category, 0.0) + key_scores[key_id]
         counts[crash.sub_category] = counts.get(crash.sub_category, 0) + 1
     means = {sub: sums[sub] / counts[sub] for sub in sums}
     ranked = tuple(
@@ -234,7 +240,8 @@ def locate_category_c(
 @dataclass(frozen=True)
 class Pipeline:
     """A fitted two-phase localizer: the categorizer (``nb`` carries the
-    selected vocabulary) and the labeled crashes the B and C locators use."""
+    selected vocabulary) and the labeled crashes the B and C locators use,
+    each pool indexed by sub-trace on its first use."""
 
     nb: NBModel
     training_b: tuple["LabeledCrash", ...]
@@ -250,6 +257,14 @@ class Pipeline:
             links_depth=links_depth,
         )
 
+    @cached_property
+    def index_b(self) -> SubtraceIndex:
+        return SubtraceIndex.of(self.training_b)
+
+    @cached_property
+    def index_c(self) -> SubtraceIndex:
+        return SubtraceIndex.of(self.training_c)
+
     def categorize(self, report: CrashReport) -> Category:
         """Phase 1: the most probable category of ``report``."""
         return predict(self.nb, vectorize(report, self.nb.selected_vocab))[0]
@@ -263,8 +278,8 @@ class Pipeline:
         if category is Category.B:
             if app_model is None:
                 raise LocateError("locate", "crash categorized as B but no app model given")
-            return locate_category_b(report, app_model, self.training_b, self.links_depth)
-        return locate_category_c(report, self.training_c)
+            return locate_category_b(report, app_model, self.index_b, self.links_depth)
+        return locate_category_c(report, self.index_c)
 
 
 def locate(

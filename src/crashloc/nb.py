@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import NUMBER, DimensionMismatch, EmptyCorpus, expect, expect_items
+from .errors import NUMBER, DimensionMismatch, EmptyCorpus, expect, expect_between, expect_items
 from .features import FeatureVector, SelectedVocabulary
 
 
@@ -57,18 +57,25 @@ class NBModel:
     def from_json_obj(
         cls, obj: dict, selected_vocab: SelectedVocabulary | None = None, pointer: str = ""
     ) -> "NBModel":
+        """Priors and conditionals must be probabilities in (0, 1), as training
+        makes them and as ``predict`` takes their logarithms."""
         priors = expect(obj, "priors", dict, pointer)
-        priors = tuple(float(expect(priors, c.value, NUMBER, f"{pointer}/priors"))
+        for c in CATEGORIES:
+            expect(priors, c.value, NUMBER, f"{pointer}/priors")
+        priors = tuple(expect_between(priors, c.value, f"{pointer}/priors", 0.0, 1.0)
                        for c in CATEGORIES)
         n_rows = None if selected_vocab is None else len(selected_vocab)  # one per selected word
         rows = expect_items(expect(obj, "conditionals", list, pointer), list,
                             f"{pointer}/conditionals", n_rows)
-        cond = tuple(
-            tuple(float(p) for p in expect_items(row, NUMBER, f"{pointer}/conditionals/{i}", 3))
-            for i, row in enumerate(rows)
-        )
-        smoothing = float(expect(obj, "smoothing", NUMBER, pointer))
-        return cls(priors=priors, cond=cond, smoothing=smoothing, selected_vocab=selected_vocab)
+        cond = []
+        for i, row in enumerate(rows):
+            row_pointer = f"{pointer}/conditionals/{i}"
+            expect_items(row, NUMBER, row_pointer, 3)
+            cond.append(tuple(expect_between(row, k, row_pointer, 0.0, 1.0) for k in range(3)))
+        expect(obj, "smoothing", NUMBER, pointer)
+        smoothing = expect_between(obj, "smoothing", pointer, 0.0)
+        return cls(priors=priors, cond=tuple(cond), smoothing=smoothing,
+                   selected_vocab=selected_vocab)
 
 
 def train(

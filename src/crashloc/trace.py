@@ -19,7 +19,7 @@ is the crash-triggering framework call.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT_FRAMEWORK_PREFIXES
 from .errors import MalformedLog, MissingException, NoDeveloperFrame
@@ -80,7 +80,9 @@ class CrashReport:
     developer frame (the sequence compared by crash similarity);
     ``developer_frames`` holds every developer frame in trace order.
     Framework frames below the first developer frame stay in ``frames``
-    but belong to neither list.
+    but belong to neither list. ``subtrace_key`` is derived: the qualified
+    names of the framework sub-trace, the key that similarity and bucketing
+    compare.
     """
 
     exception_type: str
@@ -90,6 +92,13 @@ class CrashReport:
     developer_frames: tuple[StackFrame, ...] | None = None
     crash_api: StackFrame | None = None
     crash_method: StackFrame | None = None
+    subtrace_key: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = None
+        if self.framework_subtrace is not None:
+            key = tuple(f.qualified_name for f in self.framework_subtrace)
+        object.__setattr__(self, "subtrace_key", key)
 
     @property
     def signaler(self) -> StackFrame:

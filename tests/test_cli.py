@@ -340,3 +340,72 @@ def test_stderr_carries_json_lines_only(bundle):
     records = [json.loads(line) for line in proc.stderr.splitlines()]
     assert records and all(r["level"] == "WARNING" for r in records)
     assert "class not in app model" in records[0]["message"]
+
+
+def _set(obj, *path_and_value):
+    *path, key, value = path_and_value
+    target = obj
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "path_and_value, pointer",
+    [
+        (("nb", "priors", "A", math.nan), "/nb/priors/A"),
+        (("nb", "priors", "C", 0), "/nb/priors/C"),
+        (("nb", "conditionals", 0, 1, math.inf), "/nb/conditionals/0/1"),
+        (("nb", "conditionals", 2, 0, 1.0), "/nb/conditionals/2/0"),
+        (("nb", "smoothing", -math.inf), "/nb/smoothing"),
+        (("selected_vocab", "chi2", 3, math.nan), "/selected_vocab/chi2/3"),
+        (("config", "nb_smoothing", math.nan), "/config/nb_smoothing"),
+    ],
+    ids=["nan-prior", "zero-prior", "infinite-cell", "cell-of-one", "infinite-smoothing",
+         "nan-chi2", "nan-config-smoothing"],
+)
+def test_non_finite_bundle_numbers_exit_2_with_pointer(bundle, tmp_path, path_and_value, pointer):
+    path, _ = bundle
+    bad = tmp_path / "bad.json"
+    obj = _set(json.loads(path.read_text(encoding="utf-8")), *path_and_value)
+    bad.write_text(json.dumps(obj), encoding="utf-8")  # writes NaN and Infinity as JSON does
+    proc = run_cli("locate", str(CRASH_DIR / "a1_notes_npe.log"), "--model", str(bad),
+                   "--corpus", str(CORPUS_PATH))
+    assert proc.returncode == 2, proc.stdout
+    error = json.loads(proc.stderr)
+    assert (error["error"], error["pointer"]) == ("SchemaError", pointer)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_smoothing_flag_exits_2(value):
+    proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH), f"--smoothing={value}")
+    assert proc.returncode == 2, proc.stdout
+    assert "nb_smoothing must be a finite number" in json.loads(proc.stderr)["message"]
+
+
+@pytest.mark.parametrize("text", ['{"nb_smoothing": NaN}', '{"nb_smoothing": Infinity}',
+                                  '{"chi2_ratio": NaN}'])
+def test_non_finite_config_file_exits_2(tmp_path, text):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(text, encoding="utf-8")
+    proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH),
+                   env_extra={"CRASHLOC_CONFIG": str(config_file)})
+    assert proc.returncode == 2, proc.stdout
+    assert json.loads(proc.stderr)["pointer"] == "/" + json.loads(text).popitem()[0]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "locate"])
+def test_closed_stdout_exits_quietly(bundle, command):
+    # The reader goes away before the first byte is written, as `| head -0` does.
+    args = {"evaluate": ("evaluate", "--corpus", str(CORPUS_PATH)),
+            "locate": ("locate", str(CRASH_DIR / "c_hardware_camera.log"),
+                       "--model", str(bundle[0]), "--corpus", str(CORPUS_PATH))}[command]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "crashloc", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, cwd=REPO_ROOT)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == b""

@@ -26,6 +26,10 @@ def test_defaults():
         {"nb_smoothing": 0.0},
         {"links_depth": 0},
         {"kfold_k": 1},
+        {"nb_smoothing": float("nan")},
+        {"nb_smoothing": float("inf")},
+        {"chi2_ratio": float("nan")},
+        {"nb_smoothing": 10**400},
     ],
 )
 def test_validation_rejects_bad_values(kwargs):
@@ -67,6 +71,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         ({"chi2_ratio": True}, "/config/chi2_ratio"),
         ({"nb_smoothing": "1"}, "/config/nb_smoothing"),
         ({"links_depth": 0}, "/config"),
+        ({"nb_smoothing": float("nan")}, "/config/nb_smoothing"),
+        ({"nb_smoothing": float("inf")}, "/config/nb_smoothing"),
+        ({"chi2_ratio": float("nan")}, "/config/chi2_ratio"),
+        ({"nb_smoothing": 10**400}, "/config/nb_smoothing"),
     ],
 )
 def test_config_from_json_obj_rejects_bad_shapes(obj, pointer):

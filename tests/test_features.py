@@ -200,6 +200,9 @@ def test_selected_vocabulary_json_roundtrip(corpus):
         ({"ratio": 0.5, "words": ["a", "a"], "chi2": [0.0, 0.0]}, "/sv/words"),
         ({"ratio": 0.5, "words": ["a", "b"], "chi2": [0.0]}, "/sv/chi2"),
         ({"ratio": 0.0, "words": ["a"], "chi2": [0.0]}, "/sv/ratio"),
+        ({"ratio": 0.5, "words": ["a", "b"], "chi2": [0.0, float("nan")]}, "/sv/chi2/1"),
+        ({"ratio": 0.5, "words": ["a"], "chi2": [float("inf")]}, "/sv/chi2/0"),
+        ({"ratio": float("nan"), "words": ["a"], "chi2": [0.0]}, "/sv/ratio"),
     ],
 )
 def test_selected_vocabulary_from_json_obj_reports_bad_shapes(obj, pointer):

@@ -1,16 +1,22 @@
-"""Any JSON value at any field of a fixture corpus line or app model either
-loads or raises an ArtifactError that points into the input."""
+"""Any JSON value (NaN and the infinities included) at any field of a fixture
+corpus line, an app model, the default config or a model bundle trained on
+the fixture corpus either loads or raises an ArtifactError that points into
+the input; a config or bundle that loads holds only finite numbers."""
 from __future__ import annotations
 
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crashloc.appmodel import app_model_from_json
-from crashloc.corpus import labeled_crash_from_json
+from crashloc.cli import _bundle_from_obj, _bundle_to_obj
+from crashloc.config import Config, config_from_json_obj
+from crashloc.corpus import labeled_crash_from_json, load_corpus
 from crashloc.errors import ArtifactError
+from crashloc.evaluation import fit
 from crashloc.trace import FrameworkMatcher
 
 from conftest import APP_MODELS, CORPUS_PATH
@@ -18,6 +24,9 @@ from conftest import APP_MODELS, CORPUS_PATH
 CORPUS_LINES = [json.loads(line) for line in CORPUS_PATH.read_text(encoding="utf-8").splitlines()]
 APP_MODEL_OBJS = [json.loads(p.read_text(encoding="utf-8"))
                   for p in sorted(APP_MODELS.glob("*.json"))]
+CONFIG_OBJ = Config().to_json_obj()
+BUNDLE_OBJ = json.loads(json.dumps(_bundle_to_obj(
+    fit(load_corpus(CORPUS_PATH, FrameworkMatcher()), Config()).nb, Config())))
 
 
 def _fields(value, path=()):
@@ -42,10 +51,11 @@ def _strings(value) -> set:
 
 
 def json_values(known_strings):
-    """Any JSON value; strings are drawn from the fixtures as often as at random."""
+    """Any JSON value; strings are drawn from the fixtures as often as at random,
+    and NaN and the infinities as often as other floats."""
     strings = st.text(max_size=8) | st.sampled_from(sorted(known_strings))
-    leaves = (st.none() | st.booleans() | st.integers()
-              | st.floats(allow_nan=False, allow_infinity=False) | strings)
+    floats = st.floats() | st.sampled_from((math.nan, math.inf, -math.inf))
+    leaves = st.none() | st.booleans() | st.integers() | floats | strings
     return st.recursive(
         leaves,
         lambda children: st.lists(children, max_size=3)
@@ -64,10 +74,24 @@ def _replace_somewhere(data, objs):
     return obj
 
 
+def _config_numbers(config):
+    return [config.chi2_ratio, config.nb_smoothing]
+
+
+def _bundle_numbers(loaded):
+    nb_model, config = loaded
+    vocab = nb_model.selected_vocab
+    return [*nb_model.priors, *(p for row in nb_model.cond for p in row), nb_model.smoothing,
+            *vocab.scores, vocab.ratio, *_config_numbers(config)]
+
+
+# kind -> (objects to alter, loader, the floats of what it loads)
 LOADERS = {
     "corpus-line": (CORPUS_LINES, lambda obj: labeled_crash_from_json(
-        obj, FrameworkMatcher(), CORPUS_PATH.parent, "/0")),
-    "app-model": (APP_MODEL_OBJS, app_model_from_json),
+        obj, FrameworkMatcher(), CORPUS_PATH.parent, "/0"), lambda crash: []),
+    "app-model": (APP_MODEL_OBJS, app_model_from_json, lambda model: []),
+    "config": ([CONFIG_OBJ], config_from_json_obj, _config_numbers),
+    "bundle": ([BUNDLE_OBJ], _bundle_from_obj, _bundle_numbers),
 }
 
 
@@ -75,8 +99,32 @@ LOADERS = {
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_any_value_at_any_field_loads_or_fails_with_pointer(kind, data):
-    objs, load = LOADERS[kind]
+    objs, load, numbers = LOADERS[kind]
     try:
-        load(_replace_somewhere(data, objs))
+        loaded = load(_replace_somewhere(data, objs))
     except ArtifactError as exc:
         assert exc.pointer, exc
+    else:
+        assert all(math.isfinite(x) for x in numbers(loaded))
+
+
+def _value_at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@pytest.mark.parametrize("kind", ["config", "bundle"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_non_finite_number_at_any_number_field_is_rejected_there(kind, data):
+    objs, load, _ = LOADERS[kind]
+    obj = copy.deepcopy(objs[0])
+    number_paths = [path for path in _fields(obj)
+                    if type(_value_at(obj, path)) in (int, float)]
+    path = data.draw(st.sampled_from(number_paths))
+    _value_at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from((math.nan, math.inf,
+                                                                     -math.inf)))
+    with pytest.raises(ArtifactError) as exc:
+        load(obj)
+    assert exc.value.pointer == "".join(f"/{key}" for key in path)

@@ -118,8 +118,17 @@ def test_serialization_field_order_and_determinism():
         (lambda obj: obj["conditionals"][1].pop(), "/nb/conditionals/1"),
         (lambda obj: obj["conditionals"][0].__setitem__(2, True), "/nb/conditionals/0/2"),
         (lambda obj: obj.update(smoothing=None), "/nb/smoothing"),
+        (lambda obj: obj["priors"].update(A=float("nan")), "/nb/priors/A"),
+        (lambda obj: obj["priors"].update(C=1), "/nb/priors/C"),
+        (lambda obj: obj["conditionals"][1].__setitem__(0, float("inf")), "/nb/conditionals/1/0"),
+        (lambda obj: obj["conditionals"][0].__setitem__(1, 0.0), "/nb/conditionals/0/1"),
+        (lambda obj: obj["conditionals"][0].__setitem__(2, 10**400), "/nb/conditionals/0/2"),
+        (lambda obj: obj.update(smoothing=float("nan")), "/nb/smoothing"),
+        (lambda obj: obj.update(smoothing=0), "/nb/smoothing"),
     ],
-    ids=["no-priors", "string-prior", "short-row", "boolean-cell", "null-smoothing"],
+    ids=["no-priors", "string-prior", "short-row", "boolean-cell", "null-smoothing",
+         "nan-prior", "prior-of-one", "infinite-cell", "cell-of-zero", "huge-int-cell",
+         "nan-smoothing", "zero-smoothing"],
 )
 def test_from_json_obj_reports_bad_shapes(change, pointer):
     obj = train([([1, 0], Category.A), ([0, 1], Category.B)], 1.0).to_json_obj()
