@@ -31,7 +31,7 @@ from pathlib import Path
 from .appmodel import app_model_from_json, load_app_model
 from .config import Config, config_from_json_obj, load_config
 from .corpus import load_corpus
-from .errors import CrashLocError, LocateError, SchemaError, expect, read_json
+from .errors import CrashLocError, LocateError, SchemaError, expect, parse_json, read_json
 from .evaluation import bucketize, evaluate, fit, render_bucket_summary, render_text
 from .features import SelectedVocabulary
 from .localizer import locate, location_label
@@ -177,15 +177,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if stripped.startswith("{"):
         first_line = stripped.splitlines()[0].strip()
         try:
-            looks_jsonl = "crash_log" in json.loads(first_line)
-        except json.JSONDecodeError:
+            looks_jsonl = "crash_log" in parse_json(first_line, "first line")
+        except SchemaError:
             looks_jsonl = False
         if not looks_jsonl:
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"not valid JSON: {exc}", "/") from exc
-            summary = _inspect_json_object(obj)
+            summary = _inspect_json_object(parse_json(text, str(path)))
     if summary is None:
         config = _resolve_config(args)
         corpus = load_corpus(path, FrameworkMatcher(config.framework_prefixes))

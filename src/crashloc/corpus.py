@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .appmodel import ApiRef
-from .errors import CrashLocError, SchemaError, expect
+from .errors import CrashLocError, SchemaError, expect, parse_json
 from .localizer import SubCategory
 from .nb import Category
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
@@ -114,10 +114,7 @@ def load_corpus(path: str | Path, matcher: FrameworkMatcher) -> list[LabeledCras
         if not line.strip():
             continue
         pointer = f"/{li}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"corpus line {li + 1} is not valid JSON: {exc}", pointer) from exc
+        obj = parse_json(line, f"corpus line {li + 1}", pointer)
         if not isinstance(obj, dict):
             raise SchemaError(f"corpus line {li + 1} must be a JSON object", pointer)
         crashes.append(labeled_crash_from_json(obj, matcher, path.parent, pointer))

@@ -71,14 +71,22 @@ class LocateError(CrashLocError):
         super().__init__(f"[{phase}] {message}")
 
 
+def parse_json(text: str, what: str, pointer: str = "/"):
+    """The JSON value of ``text``; SchemaError at ``pointer`` if it is malformed,
+    nests too deeply for the parser or holds an integer too long to convert."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise SchemaError(f"{what} is not valid JSON: {exc}", pointer) from exc
+
+
 def read_json(path: str | Path, what: str):
     """The JSON value in the file at ``path``; SchemaError if unreadable or malformed."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what} is not valid JSON: {exc}", "/") from exc
+    return parse_json(text, what)
 
 
 # Shape checks shared by the artifact loaders. ``bool`` is a subclass of

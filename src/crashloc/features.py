@@ -9,6 +9,7 @@ against the category labels and only the top fraction is kept.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -60,12 +61,22 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class SelectedVocabulary:
-    """Top-ranked subset of a vocabulary, with the per-word chi2 scores."""
+    """Top-ranked subset of a vocabulary, with the per-word chi2 scores.
+
+    ``position`` maps each selected word to its bit in a feature vector.
+    """
 
     base: Vocabulary
     selected: tuple[str, ...]
     ratio: float
     scores: tuple[float, ...]
+    position: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        position = {w: i for i, w in enumerate(self.selected)}
+        if len(position) != len(self.selected):
+            raise ValueError("selected vocabulary contains duplicate words")
+        object.__setattr__(self, "position", position)
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -140,24 +151,22 @@ def chi_square_select(
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     categories = sorted({crash.category for crash in corpus}, key=lambda c: c.value)
-    doc_tokens = [tokenize(crash.report) for crash in corpus]
+    # One pass over each crash's token set: doc_freq[k][word] counts the
+    # crashes of categories[k] holding word, totals[k] the crashes of it.
+    by_category = {cat: Counter() for cat in categories}
+    for crash in corpus:
+        by_category[crash.category].update(tokenize(crash.report))
+    doc_freq = [by_category[cat] for cat in categories]
+    totals = [sum(1 for crash in corpus if crash.category == cat) for cat in categories]
+    n = len(corpus)
     scores = []
     for word in vocab.words:
+        in_cat = [counts.get(word, 0) for counts in doc_freq]
+        present = sum(in_cat)
         best = 0.0
-        for cat in categories:
-            o11 = o12 = o21 = o22 = 0
-            for crash, tokens in zip(corpus, doc_tokens):
-                present = word in tokens
-                in_cat = crash.category == cat
-                if present and in_cat:
-                    o11 += 1
-                elif present:
-                    o12 += 1
-                elif in_cat:
-                    o21 += 1
-                else:
-                    o22 += 1
-            best = max(best, chi2_stat(o11, o12, o21, o22))
+        for o11, total in zip(in_cat, totals):
+            o21 = total - o11
+            best = max(best, chi2_stat(o11, present - o11, o21, n - present - o21))
         scores.append(best)
     scores = tuple(scores)
     return SelectedVocabulary(
@@ -170,5 +179,10 @@ def chi_square_select(
 
 def vectorize(report: CrashReport, sel: SelectedVocabulary) -> FeatureVector:
     """Binary membership vector of the report's tokens in the selected words."""
-    tokens = tokenize(report)
-    return [1 if word in tokens else 0 for word in sel.selected]
+    position = sel.position
+    vector = [0] * len(sel.selected)
+    for token in iter_tokens(report):
+        i = position.get(token)
+        if i is not None:
+            vector[i] = 1
+    return vector

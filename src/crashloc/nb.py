@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 from .errors import NUMBER, DimensionMismatch, EmptyCorpus, expect, expect_between, expect_items
@@ -45,6 +47,21 @@ class NBModel:
 
     def prior(self, category: Category) -> float:
         return self.priors[CATEGORIES.index(category)]
+
+    @cached_property
+    def log_tables(self) -> tuple | None:
+        """``(log priors, log(1 - cond) rows, log(cond) rows)``, taken on the
+        first ``predict``; None when some probability has no logarithm."""
+        try:
+            return (
+                tuple(math.log(p) for p in self.priors),
+                tuple((math.log(1.0 - row[0]), math.log(1.0 - row[1]), math.log(1.0 - row[2]))
+                      for row in self.cond),
+                tuple((math.log(row[0]), math.log(row[1]), math.log(row[2]))
+                      for row in self.cond),
+            )
+        except ValueError:
+            return None
 
     def to_json_obj(self) -> dict:
         return {
@@ -110,18 +127,12 @@ def train(
         k = CATEGORIES.index(category)
         counts[k] += 1
         row = ones[k]
-        for i, bit in enumerate(vec):
-            if bit:
-                row[i] += 1
+        for i in compress(range(n_features), vec):
+            row[i] += 1
 
     priors = tuple((counts[k] + smoothing) / (n + 3 * smoothing) for k in range(3))
-    cond = tuple(
-        tuple(
-            (ones[k][i] + smoothing) / (counts[k] + 2 * smoothing)
-            for k in range(3)
-        )
-        for i in range(n_features)
-    )
+    columns = [[(c + smoothing) / (counts[k] + 2 * smoothing) for c in ones[k]] for k in range(3)]
+    cond = tuple(zip(*columns))
     return NBModel(priors=priors, cond=cond, smoothing=smoothing,
                    selected_vocab=selected_vocab)
 
@@ -135,10 +146,24 @@ def predict(model: NBModel, vector: FeatureVector) -> tuple[Category, dict[Categ
         raise DimensionMismatch(
             f"vector has {len(vector)} features, model expects {model.n_features}"
         )
-    scores = [math.log(p) for p in model.priors]
-    for i, bit in enumerate(vector):
-        row = model.cond[i]
-        for k in range(3):
-            scores[k] += math.log(row[k]) if bit else math.log(1.0 - row[k])
+    tables = model.log_tables
+    if tables is None:
+        # Some probability has no logarithm: add term by term, so that the
+        # ValueError comes for exactly the vectors that take that logarithm.
+        scores = [math.log(p) for p in model.priors]
+        for i, bit in enumerate(vector):
+            row = model.cond[i]
+            for k in range(3):
+                scores[k] += math.log(row[k]) if bit else math.log(1.0 - row[k])
+    else:
+        # One term per feature in index order, as the sum is defined.
+        log_priors, log_absent, log_present = tables
+        s0, s1, s2 = log_priors
+        for bit, absent, present in zip(vector, log_absent, log_present):
+            t0, t1, t2 = present if bit else absent
+            s0 += t0
+            s1 += t1
+            s2 += t2
+        scores = [s0, s1, s2]
     best = max(range(3), key=lambda k: (scores[k], -k))
     return CATEGORIES[best], dict(zip(CATEGORIES, scores))

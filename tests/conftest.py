@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,19 @@ FIXTURES = REPO_ROOT / "fixtures"
 CRASH_DIR = FIXTURES / "crashes"
 CORPUS_PATH = FIXTURES / "corpus" / "synthetic_corpus.jsonl"
 APP_MODELS = FIXTURES / "app_models"
+
+
+def run_cli(*args, env_extra=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-m", "crashloc", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -9,24 +9,11 @@ import sys
 
 import pytest
 
-from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, REPO_ROOT
+from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, REPO_ROOT, run_cli
 from crashloc import cli
 from crashloc.corpus import load_corpus
 from crashloc.localizer import locate
 from crashloc.trace import FrameworkMatcher, parse_and_split
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.update(env_extra or {})
-    return subprocess.run(
-        [sys.executable, "-m", "crashloc", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
 
 
 @pytest.fixture(scope="module")

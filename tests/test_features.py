@@ -191,6 +191,19 @@ def test_selected_vocabulary_json_roundtrip(corpus):
     assert back == sel
 
 
+def test_selected_vocabulary_position_is_derived_and_unique(corpus):
+    sel = chi_square_select(build_vocabulary(corpus), corpus, 0.5)
+    assert sel.position == {w: i for i, w in enumerate(sel.selected)}
+    assert "position" not in repr(sel)
+    same = SelectedVocabulary(base=sel.base, selected=sel.selected, ratio=sel.ratio,
+                              scores=sel.scores)
+    object.__setattr__(same, "position", {})
+    assert same == sel and hash(same) == hash(sel)
+    with pytest.raises(ValueError, match="duplicate"):
+        SelectedVocabulary(base=sel.base, selected=("a", "b", "a"), ratio=1.0,
+                           scores=sel.scores)
+
+
 @pytest.mark.parametrize(
     "obj, pointer",
     [

@@ -1,7 +1,10 @@
 """Any JSON value (NaN and the infinities included) at any field of a fixture
 corpus line, an app model, the default config or a model bundle trained on
 the fixture corpus either loads or raises an ArtifactError that points into
-the input; a config or bundle that loads holds only finite numbers."""
+the input; a config or bundle that loads holds only finite numbers. Text
+that the JSON parser cannot take (nesting too deep for it, an integer too
+long to convert) makes every command exit 2 with a pointer, not a
+traceback."""
 from __future__ import annotations
 
 import copy
@@ -19,7 +22,7 @@ from crashloc.errors import ArtifactError
 from crashloc.evaluation import fit
 from crashloc.trace import FrameworkMatcher
 
-from conftest import APP_MODELS, CORPUS_PATH
+from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, run_cli
 
 CORPUS_LINES = [json.loads(line) for line in CORPUS_PATH.read_text(encoding="utf-8").splitlines()]
 APP_MODEL_OBJS = [json.loads(p.read_text(encoding="utf-8"))
@@ -128,3 +131,46 @@ def test_non_finite_number_at_any_number_field_is_rejected_there(kind, data):
     with pytest.raises(ArtifactError) as exc:
         load(obj)
     assert exc.value.pointer == "".join(f"/{key}" for key in path)
+
+
+DEEP_ARRAY = "[" * 200_000
+DEEP_OBJECT = '{"a": ' * 200_000
+LONG_INT = "1" * 5_000  # past the interpreter's default int conversion limit
+FIRST_LINE = CORPUS_PATH.read_text(encoding="utf-8").splitlines()[0]
+
+
+def _locate_args(bundle=None, app_model=None):
+    bundle = bundle or "{bundle}"
+    args = ["locate", str(CRASH_DIR / "a1_notes_npe.log"), "--model", bundle,
+            "--corpus", str(CORPUS_PATH)]
+    return args + (["--app-model", app_model] if app_model else [])
+
+
+# case -> (file text, command line with {path} for the file, expected pointer)
+UNPARSEABLE = {
+    "inspect-corpus-deep-array": (DEEP_ARRAY, ["inspect", "{path}"], "/0"),
+    "inspect-corpus-second-line": (f"{FIRST_LINE}\n{DEEP_ARRAY}", ["inspect", "{path}"], "/1"),
+    "inspect-corpus-long-int": (f"{FIRST_LINE}\n{LONG_INT}", ["inspect", "{path}"], "/1"),
+    "inspect-deep-object": (DEEP_OBJECT, ["inspect", "{path}"], "/"),
+    "inspect-long-int-object": (f'{{"classes": {LONG_INT}}}', ["inspect", "{path}"], "/"),
+    "evaluate-corpus": (DEEP_ARRAY, ["evaluate", "--corpus", "{path}"], "/0"),
+    "locate-app-model": (DEEP_ARRAY, _locate_args(app_model="{path}"), "/"),
+    "locate-bundle": (DEEP_OBJECT, _locate_args(bundle="{path}"), "/"),
+    "config": (DEEP_ARRAY, ["evaluate", "--corpus", str(CORPUS_PATH)], "/"),
+}
+
+
+@pytest.mark.parametrize("case", UNPARSEABLE)
+def test_unparseable_json_exits_2_with_pointer(tmp_path, case):
+    text, args, pointer = UNPARSEABLE[case]
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(BUNDLE_OBJ), encoding="utf-8")
+    args = [arg.format(path=path, bundle=bundle) for arg in args]
+    env = {"CRASHLOC_CONFIG": str(path)} if case == "config" else None
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert (error["error"], error["pointer"]) == ("SchemaError", pointer)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from crashloc.config import Config
 from crashloc.errors import DimensionMismatch, EmptyCorpus, SchemaError
+from crashloc.evaluation import fit
+from crashloc.features import SelectedVocabulary, vectorize
 from crashloc.nb import CATEGORIES, Category, NBModel, predict, train
 
 
@@ -108,6 +112,33 @@ def test_serialization_field_order_and_determinism():
     back = NBModel.from_json_obj(obj)
     assert back.priors == train(corpus, 1.0).priors
     assert back.cond == train(corpus, 1.0).cond
+
+
+def test_bundle_roundtrip_predicts_bit_identically(corpus):
+    trained = fit(corpus, Config()).nb
+    selected = SelectedVocabulary.from_json_obj(
+        json.loads(json.dumps(trained.selected_vocab.to_json_obj())))
+    loaded = NBModel.from_json_obj(json.loads(json.dumps(trained.to_json_obj())), selected)
+    assert loaded == trained
+    for crash in corpus:
+        vector = vectorize(crash.report, selected)
+        assert vector == vectorize(crash.report, trained.selected_vocab)
+        assert predict(loaded, vector) == predict(trained, vector)
+    assert loaded.log_tables == trained.log_tables
+
+
+def test_log_tables_leave_equality_repr_and_json_alone():
+    corpus = [([1, 0], Category.A), ([0, 1], Category.B), ([1, 1], Category.C)]
+    fresh, used = train(corpus, 1.0), train(corpus, 1.0)
+    before = (repr(used), json.dumps(used.to_json_obj()), hash(used))
+    predict(used, [1, 0])
+    assert "log_tables" in vars(used) and "log_tables" not in vars(fresh)
+    assert used == fresh and fresh == used
+    assert (repr(used), json.dumps(used.to_json_obj()), hash(used)) == before
+    assert repr(fresh) == before[0]
+    assert "log_tables" not in repr(used)
+    assert [f.name for f in dataclasses.fields(NBModel)] == [
+        "priors", "cond", "smoothing", "selected_vocab"]
 
 
 @pytest.mark.parametrize(
