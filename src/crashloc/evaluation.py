@@ -116,6 +116,14 @@ def mrr(results: Sequence[int | None]) -> float:
     return sum(1.0 / r for r in results if r is not None) / len(results)
 
 
+def _rank_stats(ranks: Sequence[int | None]) -> dict:
+    """Recall@k for each reported k and the MRR (0.0 for no cases)."""
+    return {
+        "recall_at": {str(k): recall_at_k(ranks, k) for k in RECALL_KS},
+        "mrr": mrr(ranks) if ranks else 0.0,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Bucketing
 # ---------------------------------------------------------------------------
@@ -140,11 +148,7 @@ def score_summary_by_bucket(
     if len(results) != len(corpus):
         raise ValueError("results must align with the corpus, one rank per crash")
     bucket_ranks = [results[positions[0]] for positions in group_by_subtrace(corpus).values()]
-    return {
-        "buckets": len(bucket_ranks),
-        "recall_at": {str(k): recall_at_k(bucket_ranks, k) for k in RECALL_KS},
-        "mrr": mrr(bucket_ranks) if bucket_ranks else 0.0,
-    }
+    return {"buckets": len(bucket_ranks), **_rank_stats(bucket_ranks)}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def fit(train: Sequence[LabeledCrash], config: Config) -> Pipeline:
     selected = chi_square_select(vocab, train, config.chi2_ratio)
     pairs = [(vectorize(c.report, selected), c.category) for c in train]
     nb_model = train_nb(pairs, config.nb_smoothing, selected)
-    return Pipeline.from_corpus(nb_model, train, config.links_depth)
+    return Pipeline(nb_model, tuple(train), config.links_depth)
 
 
 def _run_fold(
@@ -229,18 +233,10 @@ def _rank_block(ranks_by_category: dict) -> dict:
     per_category = {}
     for category in CATEGORIES:
         ranks = ranks_by_category.get(category, [])
-        per_category[category.value] = {
-            "cases": len(ranks),
-            "recall_at": {str(k): recall_at_k(ranks, k) for k in RECALL_KS},
-            "mrr": mrr(ranks) if ranks else 0.0,
-        }
+        per_category[category.value] = {"cases": len(ranks), **_rank_stats(ranks)}
     return {
         "per_category": per_category,
-        "total": {
-            "cases": len(all_ranks),
-            "recall_at": {str(k): recall_at_k(all_ranks, k) for k in RECALL_KS},
-            "mrr": mrr(all_ranks) if all_ranks else 0.0,
-        },
+        "total": {"cases": len(all_ranks), **_rank_stats(all_ranks)},
     }
 
 

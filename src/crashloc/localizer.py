@@ -240,30 +240,21 @@ def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResu
 @dataclass(frozen=True)
 class Pipeline:
     """A fitted two-phase localizer: the categorizer (``nb`` carries the
-    selected vocabulary) and the labeled crashes the B and C locators use,
-    each pool indexed by sub-trace on its first use."""
+    selected vocabulary) and the labeled crashes the B and C locators use.
+    Each locator's pool is that category's crashes of ``corpus``, taken and
+    indexed by sub-trace on its first use."""
 
     nb: NBModel
-    training_b: tuple["LabeledCrash", ...]
-    training_c: tuple["LabeledCrash", ...]
+    corpus: tuple["LabeledCrash", ...]
     links_depth: int = 5
-
-    @classmethod
-    def from_corpus(cls, nb: NBModel, corpus: Sequence["LabeledCrash"], links_depth: int = 5):
-        return cls(
-            nb=nb,
-            training_b=tuple(c for c in corpus if c.category is Category.B),
-            training_c=tuple(c for c in corpus if c.category is Category.C),
-            links_depth=links_depth,
-        )
 
     @cached_property
     def index_b(self) -> SubtraceIndex:
-        return SubtraceIndex.of(self.training_b)
+        return SubtraceIndex.of([c for c in self.corpus if c.category is Category.B])
 
     @cached_property
     def index_c(self) -> SubtraceIndex:
-        return SubtraceIndex.of(self.training_c)
+        return SubtraceIndex.of([c for c in self.corpus if c.category is Category.C])
 
     def categorize(self, report: CrashReport) -> Category:
         """Phase 1: the most probable category of ``report``."""
@@ -293,7 +284,7 @@ def locate(
     _require_split(report)
     if nb.selected_vocab is None:
         raise LocateError("categorize", "model bundle carries no vocabulary")
-    pipeline = Pipeline.from_corpus(nb, corpus, depth)
+    pipeline = Pipeline(nb, tuple(corpus), depth)
     try:
         category = pipeline.categorize(report)
     except CrashLocError as exc:

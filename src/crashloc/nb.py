@@ -33,7 +33,9 @@ class NBModel:
 
     ``cond[i][k]`` is P(bit i = 1 | category k), rows by feature, columns
     in A, B, C order. ``selected_vocab`` is carried for vectorizing new
-    crashes; it may be None for models trained on raw vectors.
+    crashes; it may be None for models trained on raw vectors. Every
+    prior and conditional lies in (0, 1), so each has a finite logarithm
+    and so does its complement; a model that breaks this does not build.
     """
 
     priors: tuple[float, float, float]
@@ -48,20 +50,24 @@ class NBModel:
     def prior(self, category: Category) -> float:
         return self.priors[CATEGORIES.index(category)]
 
+    def __post_init__(self):
+        # predict takes log(p) and log(1 - p) of every probability.
+        for p in (*self.priors, *(p for row in self.cond for p in row)):
+            if not 0.0 < p < 1.0:
+                raise ValueError(f"NB probability {p!r} is outside (0, 1) under smoothing "
+                                 f"{self.smoothing!r}; use a larger smoothing")
+
     @cached_property
-    def log_tables(self) -> tuple | None:
+    def log_tables(self) -> tuple:
         """``(log priors, log(1 - cond) rows, log(cond) rows)``, taken on the
-        first ``predict``; None when some probability has no logarithm."""
-        try:
-            return (
-                tuple(math.log(p) for p in self.priors),
-                tuple((math.log(1.0 - row[0]), math.log(1.0 - row[1]), math.log(1.0 - row[2]))
-                      for row in self.cond),
-                tuple((math.log(row[0]), math.log(row[1]), math.log(row[2]))
-                      for row in self.cond),
-            )
-        except ValueError:
-            return None
+        first ``predict``."""
+        return (
+            tuple(math.log(p) for p in self.priors),
+            tuple((math.log(1.0 - row[0]), math.log(1.0 - row[1]), math.log(1.0 - row[2]))
+                  for row in self.cond),
+            tuple((math.log(row[0]), math.log(row[1]), math.log(row[2]))
+                  for row in self.cond),
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -74,8 +80,8 @@ class NBModel:
     def from_json_obj(
         cls, obj: dict, selected_vocab: SelectedVocabulary | None = None, pointer: str = ""
     ) -> "NBModel":
-        """Priors and conditionals must be probabilities in (0, 1), as training
-        makes them and as ``predict`` takes their logarithms."""
+        """Priors and conditionals must be probabilities in (0, 1), as the model
+        requires; each is checked here so that a bad one carries its pointer."""
         priors = expect(obj, "priors", dict, pointer)
         for c in CATEGORIES:
             expect(priors, c.value, NUMBER, f"{pointer}/priors")
@@ -146,24 +152,14 @@ def predict(model: NBModel, vector: FeatureVector) -> tuple[Category, dict[Categ
         raise DimensionMismatch(
             f"vector has {len(vector)} features, model expects {model.n_features}"
         )
-    tables = model.log_tables
-    if tables is None:
-        # Some probability has no logarithm: add term by term, so that the
-        # ValueError comes for exactly the vectors that take that logarithm.
-        scores = [math.log(p) for p in model.priors]
-        for i, bit in enumerate(vector):
-            row = model.cond[i]
-            for k in range(3):
-                scores[k] += math.log(row[k]) if bit else math.log(1.0 - row[k])
-    else:
-        # One term per feature in index order, as the sum is defined.
-        log_priors, log_absent, log_present = tables
-        s0, s1, s2 = log_priors
-        for bit, absent, present in zip(vector, log_absent, log_present):
-            t0, t1, t2 = present if bit else absent
-            s0 += t0
-            s1 += t1
-            s2 += t2
-        scores = [s0, s1, s2]
+    # One term per feature in index order, as the sum is defined.
+    log_priors, log_absent, log_present = model.log_tables
+    s0, s1, s2 = log_priors
+    for bit, absent, present in zip(vector, log_absent, log_present):
+        t0, t1, t2 = present if bit else absent
+        s0 += t0
+        s1 += t1
+        s2 += t2
+    scores = [s0, s1, s2]
     best = max(range(3), key=lambda k: (scores[k], -k))
     return CATEGORIES[best], dict(zip(CATEGORIES, scores))

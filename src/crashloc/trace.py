@@ -59,17 +59,11 @@ class FrameworkMatcher:
     def __post_init__(self):
         if not self.prefixes:
             raise ValueError("FrameworkMatcher needs at least one prefix")
-
-    def match(self, class_name: str) -> str | None:
-        """Return the longest matching prefix, or None for developer code."""
-        best = None
-        for prefix in self.prefixes:
-            if class_name.startswith(prefix) and (best is None or len(prefix) > len(best)):
-                best = prefix
-        return best
+        # str.startswith takes a tuple of prefixes, not a list.
+        object.__setattr__(self, "prefixes", tuple(self.prefixes))
 
     def is_framework(self, class_name: str) -> bool:
-        return self.match(class_name) is not None
+        return class_name.startswith(self.prefixes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -382,6 +382,33 @@ def test_non_finite_config_file_exits_2(tmp_path, text):
     assert json.loads(proc.stderr)["pointer"] == "/" + json.loads(text).popitem()[0]
 
 
+def test_train_with_a_smoothing_too_small_for_a_model_exits_2_without_a_bundle(tmp_path):
+    out = tmp_path / "bundle.json"
+    proc = run_cli("train", "--corpus", str(CORPUS_PATH), "--model", str(out),
+                   "--smoothing", "5e-324")
+    assert proc.returncode == 2, proc.stdout
+    assert "smoothing 5e-324" in json.loads(proc.stderr)["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_evaluate_with_a_smoothing_too_small_for_a_model_exits_2(tmp_path, where):
+    if where == "flag":
+        proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH), "--smoothing", "1e-15")
+    else:
+        config_file = tmp_path / "config.json"
+        config_file.write_text('{"nb_smoothing": 1e-15}', encoding="utf-8")
+        proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH),
+                       env_extra={"CRASHLOC_CONFIG": str(config_file)})
+    assert proc.returncode == 2, proc.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueError"
+    assert "smoothing 1e-15" in error["message"]
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["evaluate", "locate"])
 def test_closed_stdout_exits_quietly(bundle, command):
     # The reader goes away before the first byte is written, as `| head -0` does.

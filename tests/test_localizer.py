@@ -339,7 +339,7 @@ def test_pipeline_dispatch_raises_raw_errors_and_locate_wraps_them(corpus_module
     report = _crash("c_manifest_permission.log", matcher)
     no_c = [c for c in corpus_module if c.category is not Category.C]
     with pytest.raises(EmptyPool):
-        Pipeline.from_corpus(trained, no_c).locate_as(Category.C, report, None)
+        Pipeline(trained, tuple(no_c)).locate_as(Category.C, report, None)
     with pytest.raises(LocateError) as exc:
         locate(report, None, no_c, trained)
     assert exc.value.phase == "locate"
@@ -349,8 +349,9 @@ def test_pipeline_dispatch_raises_raw_errors_and_locate_wraps_them(corpus_module
 def test_fit_pipeline_matches_hand_trained_parts(corpus_module, trained):
     pipeline = fit(corpus_module, Config())
     assert pipeline.nb == trained
-    assert pipeline.training_b == tuple(c for c in corpus_module if c.category is Category.B)
-    assert pipeline.training_c == tuple(c for c in corpus_module if c.category is Category.C)
+    assert pipeline.corpus == tuple(corpus_module)
+    assert pipeline.index_b.pool == tuple(c for c in corpus_module if c.category is Category.B)
+    assert pipeline.index_c.pool == tuple(c for c in corpus_module if c.category is Category.C)
     assert pipeline.links_depth == Config().links_depth
 
 

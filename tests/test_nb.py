@@ -218,3 +218,28 @@ def test_property_argmax_invariant_under_constant_shift(corpus, query):
     shifted = {c: s + 123.456 for c, s in scores.items()}
     best = max(shifted.values())
     assert shifted[category] >= best - 1e-9
+
+
+# Edge values on both sides of (0, 1) as well as arbitrary floats.
+_probability = (st.floats(min_value=0.0, max_value=1.0)
+                | st.sampled_from((5e-324, 1.0 - 2**-53, -0.0, math.nan, math.inf))
+                | st.floats())
+_row = st.tuples(_probability, _probability, _probability)
+
+
+@given(st.data(), _row, st.lists(_row, max_size=4), st.floats(min_value=5e-324, max_value=1e6))
+def test_property_model_builds_iff_every_probability_is_in_the_open_unit_interval(
+        data, priors, cond, smoothing):
+    probabilities = [*priors, *(p for row in cond for p in row)]
+    bad = [p for p in probabilities if not 0.0 < p < 1.0]
+    try:
+        model = NBModel(priors=priors, cond=tuple(cond), smoothing=smoothing)
+    except ValueError as exc:
+        assert bad
+        assert f"NB probability {bad[0]!r} " in str(exc)
+        assert f"smoothing {smoothing!r}" in str(exc)
+        return
+    assert not bad
+    vector = data.draw(st.lists(st.integers(0, 1), min_size=len(cond), max_size=len(cond)))
+    _, scores = predict(model, vector)
+    assert all(math.isfinite(score) for score in scores.values())

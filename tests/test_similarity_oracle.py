@@ -183,7 +183,7 @@ def test_category_c_means_add_one_score_per_crash_in_pool_order():
 
 
 def test_pipeline_indexes_each_pool_once_and_only_when_used(corpus):
-    pipeline = Pipeline.from_corpus(nb=None, corpus=corpus)
+    pipeline = Pipeline(nb=None, corpus=tuple(corpus))
     query = corpus[0].report
     pipeline.locate_as(Category.A, query, None)
     assert "index_b" not in vars(pipeline) and "index_c" not in vars(pipeline)
@@ -192,4 +192,4 @@ def test_pipeline_indexes_each_pool_once_and_only_when_used(corpus):
     index_c = pipeline.index_c
     assert pipeline.locate_as(Category.C, query, None) == first
     assert pipeline.index_c is index_c
-    assert pipeline.index_c.pool == pipeline.training_c
+    assert pipeline.index_c.pool == tuple(c for c in corpus if c.category is Category.C)

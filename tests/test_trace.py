@@ -133,11 +133,12 @@ def test_split_is_idempotent(listing1_report, matcher):
     assert again == listing1_report
 
 
-def test_matcher_longest_prefix():
+def test_matcher_any_prefix():
     matcher = FrameworkMatcher(("com.android.", "com.", "android."))
-    assert matcher.match("com.android.internal.os.Zygote") == "com.android."
-    assert matcher.match("com.example.app.Main") == "com."
-    assert matcher.match("org.example.Main") is None
+    assert matcher.is_framework("com.android.internal.os.Zygote")
+    assert matcher.is_framework("com.example.app.Main")
+    assert not matcher.is_framework("org.example.Main")
+    assert FrameworkMatcher(["org."]).is_framework("org.example.Main")
 
 
 def test_roundtrip_all_fixture_logs(matcher):
