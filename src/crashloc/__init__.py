@@ -20,7 +20,7 @@ from .localizer import (
 )
 from .nb import Category, NBModel, predict, train
 from .similarity import crash_similarity, edit_distance, most_similar
-from .trace import CrashReport, FrameworkMatcher, StackFrame, parse_crash_log, split_frames
+from .trace import CrashReport, FrameworkMatcher, StackFrame, parse_and_split
 
 __version__ = "0.1.0"
 
@@ -58,11 +58,10 @@ __all__ = [
     "locate_category_c",
     "most_similar",
     "mrr",
-    "parse_crash_log",
+    "parse_and_split",
     "predict",
     "recall_at_k",
     "save_corpus",
-    "split_frames",
     "tokenize",
     "train",
     "vectorize",

@@ -32,10 +32,8 @@ def iter_tokens(report: CrashReport) -> Iterator[str]:
             yield part
     for part in report.message.split():
         yield part
-    if report.framework_subtrace is None:
-        raise ValueError("report is not split; run split_frames first")
-    for frame in report.framework_subtrace:
-        for part in frame.qualified_name.split("."):
+    for name in report.subtrace_key:
+        for part in name.split("."):
             if part:
                 yield part
 

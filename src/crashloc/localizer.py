@@ -29,7 +29,7 @@ from .appmodel import (
     non_overridden_callbacks,
     parse_method_ref,
 )
-from .errors import CrashLocError, EmptyPool, LocateError, NoDeveloperFrame, UnknownClass
+from .errors import CrashLocError, EmptyPool, LocateError, UnknownClass
 from .nb import Category, NBModel, predict
 from .features import vectorize
 from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
@@ -92,16 +92,8 @@ class LocalizationResult:
         return None
 
 
-def _require_split(report: CrashReport) -> None:
-    if not report.is_split:
-        raise ValueError("report is not split; run split_frames first")
-
-
 def locate_category_a(report: CrashReport) -> LocalizationResult:
     """Developer frames in stack order, scored 1/position."""
-    _require_split(report)
-    if not report.developer_frames:
-        raise NoDeveloperFrame("Category-A localization needs a developer frame")
     ranked = []
     seen = set()
     for position, frame in enumerate(report.developer_frames, 1):
@@ -160,22 +152,20 @@ def locate_category_b(
     Stack-frame classes missing from the app model are skipped with a
     warning rather than failing the whole localization.
     """
-    _require_split(report)
-    if not report.developer_frames:
-        raise NoDeveloperFrame("Category-B localization needs a developer frame")
     api, provenance = infer_handled_api(report, training_b)
 
     ranked: list[tuple[Location, float]]
     if api.kind == API_KIND_CALL_IN:
         invokers = invokers_of(model, api)
-        scores = {s.canonical(): 0.0 for s in invokers}
+        # Invokers are unique by canonical name, so one score per position.
+        scores = [0.0] * len(invokers)
         for d, _, frame_methods in _known_frames(report, model, active_methods):
-            for s in invokers:
+            for i, s in enumerate(invokers):
                 for am in frame_methods:
                     if links(model, s, am, depth):
-                        scores[s.canonical()] += 1.0 / d
+                        scores[i] += 1.0 / d
         ranked = sorted(
-            ((s, scores[s.canonical()]) for s in invokers if scores[s.canonical()] > 0),
+            ((s, score) for s, score in zip(invokers, scores) if score > 0),
             key=lambda pair: -pair[1],
         )
     else:
@@ -209,7 +199,6 @@ def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResu
     per training crash in pool order, so the means are those of the
     per-crash loop to the last bit.
     """
-    _require_split(report)
     index = SubtraceIndex.of(training_c)
     if not index.pool:
         raise EmptyPool("no Category-C training crashes to compare against")
@@ -281,7 +270,6 @@ def locate(
     depth: int = 5,
 ) -> LocalizationResult:
     """Full pipeline for one crash: categorize, then dispatch the locator."""
-    _require_split(report)
     if nb.selected_vocab is None:
         raise LocateError("categorize", "model bundle carries no vocabulary")
     pipeline = Pipeline(nb, tuple(corpus), depth)

@@ -20,8 +20,6 @@ if TYPE_CHECKING:
 
 def frame_seq(report: CrashReport) -> tuple[str, ...]:
     """Qualified frame names of the framework sub-trace, topmost first."""
-    if report.subtrace_key is None:
-        raise ValueError("report is not split; run split_frames first")
     return report.subtrace_key
 
 

@@ -11,15 +11,16 @@ Line grammar:
     frame   ::=  [ws] "at " <dotted-class> "." <method> "(" <location> ")"
 
 Only the outermost trace segment is used when ``Caused by:`` chains are
-present. The split step labels each frame framework/developer by package
-prefix; the framework sub-trace is the run of framework frames above the
-first developer frame, and the frame directly above that developer frame
-is the crash-triggering framework call.
+present. Parsing also labels each frame framework/developer by package
+prefix, so a report is split when it is built: the framework sub-trace
+is the run of framework frames above the first developer frame, and the
+frame directly above that developer frame is the crash-triggering
+framework call.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_FRAMEWORK_PREFIXES
 from .errors import MalformedLog, MissingException, NoDeveloperFrame
@@ -68,31 +69,31 @@ class FrameworkMatcher:
 
 @dataclass(frozen=True, slots=True)
 class CrashReport:
-    """A parsed crash. Split fields are None until split_frames has run.
+    """A parsed crash, split into its framework and developer parts.
 
-    ``framework_subtrace`` holds the framework frames above the first
-    developer frame (the sequence compared by crash similarity);
-    ``developer_frames`` holds every developer frame in trace order.
+    ``developer_frames`` holds every developer frame in trace order; a
+    crash without one carries nothing to rank, so building it raises
+    NoDeveloperFrame. ``framework_subtrace`` is derived: the frames above
+    the first developer frame, the sequence compared by crash similarity.
     Framework frames below the first developer frame stay in ``frames``
-    but belong to neither list. ``subtrace_key`` is derived: the qualified
-    names of the framework sub-trace, the key that similarity and bucketing
+    but belong to neither list. ``subtrace_key`` holds the qualified names
+    of the framework sub-trace, the key that similarity and bucketing
     compare.
     """
 
     exception_type: str
     message: str
     frames: tuple[StackFrame, ...]
-    framework_subtrace: tuple[StackFrame, ...] | None = None
-    developer_frames: tuple[StackFrame, ...] | None = None
-    crash_api: StackFrame | None = None
-    crash_method: StackFrame | None = None
-    subtrace_key: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
+    developer_frames: tuple[StackFrame, ...]
+    framework_subtrace: tuple[StackFrame, ...] = field(init=False, compare=False)
+    subtrace_key: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key = None
-        if self.framework_subtrace is not None:
-            key = tuple(f.qualified_name for f in self.framework_subtrace)
-        object.__setattr__(self, "subtrace_key", key)
+        if not self.developer_frames:
+            raise NoDeveloperFrame(f"all {len(self.frames)} frames match framework prefixes")
+        subtrace = self.frames[: self.developer_frames[0].index]
+        object.__setattr__(self, "framework_subtrace", subtrace)
+        object.__setattr__(self, "subtrace_key", tuple(f.qualified_name for f in subtrace))
 
     @property
     def signaler(self) -> StackFrame:
@@ -100,8 +101,14 @@ class CrashReport:
         return self.frames[0]
 
     @property
-    def is_split(self) -> bool:
-        return self.framework_subtrace is not None
+    def crash_method(self) -> StackFrame:
+        """The first developer frame."""
+        return self.developer_frames[0]
+
+    @property
+    def crash_api(self) -> StackFrame | None:
+        """The framework call directly above the crash method, if any."""
+        return self.framework_subtrace[-1] if self.framework_subtrace else None
 
 
 def _parse_location(loc: str) -> tuple[str | None, int | None]:
@@ -113,12 +120,13 @@ def _parse_location(loc: str) -> tuple[str | None, int | None]:
     return loc, None
 
 
-def parse_crash_log(text: str) -> CrashReport:
-    """Parse raw crash text into an unsplit CrashReport.
+def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
+    """Parse raw crash text into a CrashReport, labeling frames via the matcher.
 
     Raises MissingException if the first non-blank line carries no dotted
-    exception type, and MalformedLog if no frame line parses. Lines after
-    the first ``Caused by:`` are discarded.
+    exception type, MalformedLog if no frame line parses, and
+    NoDeveloperFrame when every frame matches a framework prefix. Lines
+    after the first ``Caused by:`` are discarded.
     """
     lines = text.splitlines()
     while lines and not lines[0].strip():
@@ -129,10 +137,9 @@ def parse_crash_log(text: str) -> CrashReport:
     header = _HEADER_RE.match(lines[0].strip())
     if header is None:
         raise MissingException(f"no dotted exception type on first line: {lines[0]!r}")
-    exception_type = header.group("type")
-    message = header.group("msg") or ""
 
     frames: list[StackFrame] = []
+    developer: list[StackFrame] = []
     for raw in lines[1:]:
         if _CAUSED_BY_RE.match(raw):
             break
@@ -140,56 +147,30 @@ def parse_crash_log(text: str) -> CrashReport:
         if m is None:
             continue
         file, line = _parse_location(m.group("loc"))
-        frames.append(
-            StackFrame(
-                class_name=m.group("cls"),
-                method_name=m.group("method"),
-                file=file,
-                line=line,
-                index=len(frames),
-            )
+        frame = StackFrame(
+            class_name=m.group("cls"),
+            method_name=m.group("method"),
+            file=file,
+            line=line,
+            index=len(frames),
         )
+        frames.append(frame)
+        if not matcher.is_framework(frame.class_name):
+            developer.append(frame)
     if not frames:
         raise MalformedLog("no 'at <class>.<method>(...)' line found")
-    return CrashReport(exception_type=exception_type, message=message, frames=tuple(frames))
-
-
-def split_frames(report: CrashReport, matcher: FrameworkMatcher) -> CrashReport:
-    """Label frames via the matcher and derive the split fields.
-
-    Raises NoDeveloperFrame when every frame matches a framework prefix;
-    such crashes carry no actionable developer method. Idempotent: the
-    split is recomputed from ``frames`` alone.
-    """
-    if not report.frames:
-        raise MalformedLog("report has no frames")
-    is_dev = [not matcher.is_framework(f.class_name) for f in report.frames]
-    if not any(is_dev):
-        raise NoDeveloperFrame(
-            f"all {len(report.frames)} frames match framework prefixes"
-        )
-    first_dev = is_dev.index(True)
-    developer = tuple(f for f, dev in zip(report.frames, is_dev) if dev)
-    subtrace = report.frames[:first_dev]
-    crash_api = report.frames[first_dev - 1] if first_dev > 0 else None
-    return replace(
-        report,
-        framework_subtrace=subtrace,
-        developer_frames=developer,
-        crash_api=crash_api,
-        crash_method=report.frames[first_dev],
+    return CrashReport(
+        exception_type=header.group("type"),
+        message=header.group("msg") or "",
+        frames=tuple(frames),
+        developer_frames=tuple(developer),
     )
-
-
-def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
-    return split_frames(parse_crash_log(text), matcher)
 
 
 def to_log_text(report: CrashReport) -> str:
     """Render a report back to canonical crash-log text.
 
-    Parsing the result reproduces the report (minus split fields, which
-    are recomputed by split_frames).
+    Parsing the result with the same matcher reproduces the report.
     """
     lines = [
         f"{report.exception_type}: {report.message}"

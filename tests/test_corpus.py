@@ -19,7 +19,7 @@ def test_synthetic_corpus_loads_with_expected_composition(corpus):
         by_category[crash.category] += 1
     assert by_category == {Category.A: 20, Category.B: 10, Category.C: 10}
     for crash in corpus:
-        assert crash.report.is_split
+        assert crash.report.developer_frames
         if crash.category is Category.B:
             assert crash.api_h is not None
             assert crash.app_model is not None and crash.app_model.exists()

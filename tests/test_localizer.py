@@ -82,19 +82,11 @@ def test_category_a_single_frame():
     assert result.ranked[0][1] == 1.0
 
 
-def test_category_a_requires_developer_frame(matcher):
+def test_category_a_requires_developer_frame():
+    # A report without a developer frame cannot be built, so no locator sees one.
     report = make_report()
-    stripped = report.__class__(
-        exception_type=report.exception_type,
-        message=report.message,
-        frames=report.frames,
-        framework_subtrace=report.frames,
-        developer_frames=(),
-        crash_api=None,
-        crash_method=None,
-    )
     with pytest.raises(NoDeveloperFrame):
-        locate_category_a(stripped)
+        report.__class__(report.exception_type, report.message, report.frames, developer_frames=())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from crashloc.localizer import (
     LocalizationResult,
     Pipeline,
     SubCategory,
-    _require_split,
     infer_handled_api,
     locate_category_c,
 )
@@ -69,7 +68,6 @@ def reference_locate_category_c(
     report: CrashReport, training_c: Sequence["LabeledCrash"]
 ) -> LocalizationResult:
     """Rank sub-categories by mean similarity to their training crashes."""
-    _require_split(report)
     if not training_c:
         raise EmptyPool("no Category-C training crashes to compare against")
     sums: dict[SubCategory, float] = {}

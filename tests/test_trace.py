@@ -1,16 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from crashloc.errors import MalformedLog, MissingException, NoDeveloperFrame
-from crashloc.trace import (
-    FrameworkMatcher,
-    parse_and_split,
-    parse_crash_log,
-    split_frames,
-    to_log_text,
-)
+from crashloc.trace import CrashReport, FrameworkMatcher, parse_and_split, to_log_text
 
 from conftest import CRASH_DIR
 
@@ -23,8 +19,8 @@ LISTING1 = """java.lang.IllegalStateException: MainActivityFragment{e7db358} not
 """
 
 
-def test_parse_listing1_header_and_frames():
-    report = parse_crash_log(LISTING1)
+def test_parse_listing1_header_and_frames(matcher):
+    report = parse_and_split(LISTING1, matcher)
     assert report.exception_type == "java.lang.IllegalStateException"
     assert report.message == "MainActivityFragment{e7db358} not attached to Activity"
     assert len(report.frames) == 4
@@ -37,26 +33,28 @@ def test_parse_listing1_header_and_frames():
 
 
 def test_parse_without_message():
-    report = parse_crash_log(
-        "java.lang.NullPointerException\n\tat android.app.Activity.run(Activity.java:1)\n"
+    # Under this matcher the only frame is a developer frame.
+    report = parse_and_split(
+        "java.lang.NullPointerException\n\tat android.app.Activity.run(Activity.java:1)\n",
+        FrameworkMatcher(("java.",)),
     )
     assert report.exception_type == "java.lang.NullPointerException"
     assert report.message == ""
 
 
-def test_parse_no_frames_is_malformed():
+def test_parse_no_frames_is_malformed(matcher):
     with pytest.raises(MalformedLog):
-        parse_crash_log("java.lang.NullPointerException: boom\nnothing to see here\n")
+        parse_and_split("java.lang.NullPointerException: boom\nnothing to see here\n", matcher)
 
 
-def test_parse_undotted_first_line_is_missing_exception():
+def test_parse_undotted_first_line_is_missing_exception(matcher):
     with pytest.raises(MissingException):
-        parse_crash_log("Exception: boom\n\tat a.B.m(B.java:1)\n")
+        parse_and_split("Exception: boom\n\tat a.B.m(B.java:1)\n", matcher)
     with pytest.raises(MissingException):
-        parse_crash_log("")
+        parse_and_split("", matcher)
 
 
-def test_caused_by_keeps_outer_trace_only():
+def test_caused_by_keeps_outer_trace_only(matcher):
     text = (
         "java.lang.RuntimeException: outer\n"
         "\tat android.app.ActivityThread.run(ActivityThread.java:1)\n"
@@ -64,12 +62,12 @@ def test_caused_by_keeps_outer_trace_only():
         "Caused by: java.lang.NullPointerException\n"
         "\tat com.app.x.Deep.fail(Deep.java:3)\n"
     )
-    report = parse_crash_log(text)
+    report = parse_and_split(text, matcher)
     assert len(report.frames) == 2
     assert report.frames[-1].method_name == "go"
 
 
-def test_location_variants_parse():
+def test_location_variants_parse(matcher):
     text = (
         "java.lang.Error: x\n"
         "\tat android.hw.Camera.native_setup(Native Method)\n"
@@ -77,7 +75,7 @@ def test_location_variants_parse():
         "\tat com.app.demo.Scan.init(Unknown Source)\n"
         "\tat com.app.demo.Scan.start()\n"
     )
-    report = parse_crash_log(text)
+    report = parse_and_split(text, matcher)
     assert report.frames[0].file == "Native Method"
     assert report.frames[0].line is None
     assert report.frames[2].file == "Unknown Source"
@@ -87,7 +85,7 @@ def test_location_variants_parse():
 
 def test_split_listing1():
     matcher = FrameworkMatcher(("androidx.", "android.", "java."))
-    report = split_frames(parse_crash_log(LISTING1), matcher)
+    report = parse_and_split(LISTING1, matcher)
     assert report.crash_api is report.frames[0]
     assert report.crash_method is report.frames[1]
     assert report.framework_subtrace == (report.frames[0],)
@@ -128,9 +126,22 @@ def test_split_developer_topmost_has_no_crash_api(matcher):
     assert report.crash_method is report.frames[0]
 
 
-def test_split_is_idempotent(listing1_report, matcher):
-    again = split_frames(listing1_report, matcher)
-    assert again == listing1_report
+def test_report_is_valid_when_built(listing1_report):
+    init_fields = [f.name for f in dataclasses.fields(CrashReport) if f.init]
+    assert init_fields == ["exception_type", "message", "frames", "developer_frames"]
+    report = CrashReport(
+        listing1_report.exception_type,
+        listing1_report.message,
+        listing1_report.frames,
+        listing1_report.developer_frames,
+    )
+    assert report == listing1_report
+    assert report.framework_subtrace == listing1_report.frames[:1]
+    assert report.subtrace_key == ("androidx.fragment.Fragment.startActivityForResult",)
+    assert report.crash_api is report.frames[0]
+    assert report.crash_method is report.frames[1]
+    with pytest.raises(NoDeveloperFrame):
+        CrashReport(report.exception_type, report.message, report.frames, ())
 
 
 def test_matcher_any_prefix():
@@ -204,4 +215,3 @@ def test_property_roundtrip_and_crash_api_adjacency(text):
     # sits directly above the first developer frame.
     assert report.crash_api is not None
     assert report.crash_method.index == report.crash_api.index + 1
-    assert split_frames(report, matcher) == report
