@@ -82,8 +82,14 @@ def config_from_json_obj(obj, pointer: str = "") -> Config:
                 expect_between(obj, f.name, pointer)
     values = dict(obj)
     if "framework_prefixes" in obj:
-        values["framework_prefixes"] = tuple(
-            expect_items(obj["framework_prefixes"], str, f"{pointer}/framework_prefixes"))
+        where = f"{pointer}/framework_prefixes"
+        prefixes = expect_items(obj["framework_prefixes"], str, where)
+        if not prefixes:
+            raise SchemaError("framework_prefixes must hold at least one prefix", where)
+        if "" in prefixes:
+            raise SchemaError("a framework prefix must not be empty",
+                              f"{where}/{prefixes.index('')}")
+        values["framework_prefixes"] = tuple(prefixes)
     try:
         return Config(**values)
     except (TypeError, ValueError) as exc:

@@ -9,7 +9,8 @@ Each line holds one labeled crash:
 
 ``app_model`` paths are resolved against the corpus file's directory.
 Category-B lines must carry ``api_h``; Category-C lines must carry
-``sub_category``.
+``sub_category``. An A or B line's ``true_location`` is a method reference
+(``class#method``, optionally ``(sig)``), a C line's a sub-category name.
 """
 from __future__ import annotations
 
@@ -17,11 +18,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .appmodel import ApiRef
+from .appmodel import ApiRef, parse_method_ref
 from .errors import CrashLocError, SchemaError, expect, parse_json
 from .localizer import SubCategory
 from .nb import Category
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
+
+_SUB_CATEGORY_NAMES = frozenset(sub.value for sub in SubCategory)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,6 +89,13 @@ def labeled_crash_from_json(
     if category is Category.C and sub_category is None:
         raise SchemaError("Category-C entry must carry sub_category", f"{pointer}/sub_category")
 
+    true_location = expect(obj, "true_location", str, pointer)
+    if category is not Category.C:
+        parse_method_ref(true_location, pointer=f"{pointer}/true_location")
+    elif true_location not in _SUB_CATEGORY_NAMES:
+        raise SchemaError(f"Category-C true_location must name a sub-category, "
+                          f"got {true_location!r}", f"{pointer}/true_location")
+
     app_model = None
     if obj.get("app_model") is not None and expect(obj, "app_model", str, pointer):
         app_model = Path(obj["app_model"])
@@ -95,7 +105,7 @@ def labeled_crash_from_json(
     return LabeledCrash(
         report=report,
         category=category,
-        true_location=expect(obj, "true_location", str, pointer),
+        true_location=true_location,
         api_h=api_h,
         sub_category=sub_category,
         app_model=app_model,

@@ -1,11 +1,13 @@
 """Evaluation harness: bucketing, k-fold cross-validation, Recall@k, MRR.
 
 Each fold trains the vocabulary, feature selection, and categorizer on the
-training split, then localizes every test crash twice: once end to end
-(Phase 1 prediction picks the locator) and once under perfect
-categorization (the true label picks the locator, isolating Phase 2).
-Metrics are pooled over all folds. Per-case failures are recorded in the
-report, never dropped.
+training split, then categorizes every test crash and runs the locator of
+each distinct category among its predicted and its true one. The outcomes
+form one table in corpus order, read by two protocols: end to end takes the
+outcome under the predicted category, perfect categorization the one under
+the true category (isolating Phase 2). A correctly categorized crash is thus
+localized once for both. Metrics are pooled over all folds. Per-case
+failures are recorded in the report, never dropped.
 
 Shuffling uses an explicitly specified PRNG so splits replicate across
 implementations: xorshift64* with shift triple (12, 25, 27) and output
@@ -16,10 +18,11 @@ to 1.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .appmodel import load_app_model
 from .config import Config
@@ -187,48 +190,25 @@ def fit(train: Sequence[LabeledCrash], config: Config) -> Pipeline:
     return Pipeline(nb_model, tuple(train), config.links_depth)
 
 
-def _run_fold(
-    corpus: Sequence[LabeledCrash],
-    train_idx: list[int],
-    test_idx: list[int],
-    config: Config,
-    fallback_model: Path | None,
-) -> list[dict]:
-    pipeline = fit([corpus[i] for i in train_idx], config)
-    model_cache: dict = {}
-
-    records = []
-    for idx in test_idx:
-        crash = corpus[idx]
-        predicted = pipeline.categorize(crash.report)
-        record: dict = {"index": idx, "predicted": predicted, "actual": crash.category}
-        model_path = crash.app_model or fallback_model
-        for protocol, category in (
-            ("end_to_end", predicted),
-            ("perfect_categorization", crash.category),
-        ):
-            try:
-                app_model = None
-                if category is Category.B and model_path is not None:
-                    if model_path not in model_cache:
-                        model_cache[model_path] = load_app_model(model_path)
-                    app_model = model_cache[model_path]
-                result = pipeline.locate_as(category, crash.report, app_model)
-                record[protocol] = {"rank": result.rank_of(crash.true_location)}
-            except CrashLocError as exc:
-                record[protocol] = {
-                    "rank": None,
-                    "error": {
-                        "phase": getattr(exc, "phase", "locate"),
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    },
-                }
-        records.append(record)
-    return records
+def _outcome(
+    pipeline: Pipeline, category: Category, crash: LabeledCrash, app_model: Callable
+) -> dict:
+    """``category``'s locator on ``crash``: ``{"rank": r}``, or rank None and the
+    error when a CrashLocError stops it. ``app_model()`` gives a B locator its model."""
+    try:
+        model = app_model() if category is Category.B else None
+        result = pipeline.locate_as(category, crash.report, model)
+        return {"rank": result.rank_of(crash.true_location)}
+    except CrashLocError as exc:
+        error = {"phase": "locate", "error": type(exc).__name__, "message": str(exc)}
+        return {"rank": None, "error": error}
 
 
-def _rank_block(ranks_by_category: dict) -> dict:
+def _rank_block(actual: Sequence[Category], ranks: Sequence[int | None]) -> dict:
+    """Rank metrics per true category and in total, ``ranks`` aligned with ``actual``."""
+    ranks_by_category: dict = {}
+    for category, rank in zip(actual, ranks):
+        ranks_by_category.setdefault(category, []).append(rank)
     all_ranks = [r for ranks in ranks_by_category.values() for r in ranks]
     per_category = {}
     for category in CATEGORIES:
@@ -255,18 +235,25 @@ def evaluate(
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     fallback = Path(fallback_model) if fallback_model else None
-    records = sorted(
-        (
-            record
-            for train, test in kfold_indices(len(corpus), config.kfold_k, config.seed)
-            for record in _run_fold(corpus, train, test, config, fallback)
-        ),
-        key=lambda r: r["index"],
-    )
+    load = functools.cache(load_app_model)  # each app-model path is read once per call
+    predicted: list = [None] * len(corpus)
+    outcomes: list = [None] * len(corpus)  # per crash: category -> its locator's outcome
+    for train, test in kfold_indices(len(corpus), config.kfold_k, config.seed):
+        pipeline = fit([corpus[i] for i in train], config)
+        for i in test:
+            crash = corpus[i]
+            path = crash.app_model or fallback
+            predicted[i] = pipeline.categorize(crash.report)
+            outcomes[i] = {
+                category: _outcome(pipeline, category, crash, lambda: load(path) if path else None)
+                for category in dict.fromkeys((predicted[i], crash.category))
+            }
+        del pipeline  # so that the next fold's fit does not hold two pipelines at once
+    actual = [crash.category for crash in corpus]
 
     confusion = {p.value: {a.value: 0 for a in CATEGORIES} for p in CATEGORIES}
-    for record in records:
-        confusion[record["predicted"].value][record["actual"].value] += 1
+    for p, a in zip(predicted, actual):
+        confusion[p.value][a.value] += 1
 
     per_category = {}
     for category in CATEGORIES:
@@ -278,26 +265,22 @@ def evaluate(
             "precision": diag / row_total if row_total else 0.0,
             "recall": diag / col_total if col_total else 0.0,
         }
-    accuracy = (
-        sum(confusion[c.value][c.value] for c in CATEGORIES) / len(records)
-        if records
-        else 0.0
-    )
+    accuracy = sum(confusion[c.value][c.value] for c in CATEGORIES) / len(corpus)
 
-    localization = {}
-    case_ranks = {}
-    failures = []
-    for proto in PROTOCOLS:
-        ranks_by_category: dict = {}
-        for record in records:
-            ranks_by_category.setdefault(record["actual"], []).append(
-                record[proto]["rank"]
-            )
-            if "error" in record[proto]:
-                failures.append({"index": record["index"], "protocol": proto,
-                                 **record[proto]["error"]})
-        localization[proto] = _rank_block(ranks_by_category)
-        case_ranks[proto] = [record[proto]["rank"] for record in records]
+    # End to end reads each crash's outcome under its predicted category,
+    # perfect categorization the one under its true category.
+    picked = {
+        proto: [outcomes[i][category] for i, category in enumerate(chosen)]
+        for proto, chosen in zip(PROTOCOLS, (predicted, actual))
+    }
+    case_ranks = {proto: [outcome["rank"] for outcome in picks] for proto, picks in picked.items()}
+    localization = {proto: _rank_block(actual, ranks) for proto, ranks in case_ranks.items()}
+    failures = tuple(
+        {"index": i, "protocol": proto, **picks[i]["error"]}
+        for i in range(len(corpus))
+        for proto, picks in picked.items()
+        if "error" in picks[i]
+    )
 
     selected_block = localization[protocol]["total"]
     return EvalReport(
@@ -312,7 +295,7 @@ def evaluate(
         mrr=selected_block["mrr"],
         localization=localization,
         case_ranks=case_ranks,
-        failures=tuple(sorted(failures, key=lambda f: (f["index"], f["protocol"]))),
+        failures=failures,
     )
 
 

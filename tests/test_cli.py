@@ -364,6 +364,40 @@ def test_non_finite_bundle_numbers_exit_2_with_pointer(bundle, tmp_path, path_an
     assert (error["error"], error["pointer"]) == ("SchemaError", pointer)
 
 
+@pytest.mark.parametrize("prefixes, pointer", [([], "/framework_prefixes"),
+                                              (["android.", ""], "/framework_prefixes/1")])
+def test_empty_framework_prefixes_exit_2_with_pointer(bundle, tmp_path, prefixes, pointer):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"framework_prefixes": prefixes}), encoding="utf-8")
+    proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH),
+                   env_extra={"CRASHLOC_CONFIG": str(config_file)})
+    assert proc.returncode == 2, proc.stdout
+    assert json.loads(proc.stderr)["pointer"] == pointer
+
+    path, _ = bundle
+    bad = tmp_path / "bad.json"
+    obj = _set(json.loads(path.read_text(encoding="utf-8")), "config", "framework_prefixes",
+               prefixes)
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    proc = run_cli("locate", str(CRASH_DIR / "a1_notes_npe.log"), "--model", str(bad),
+                   "--corpus", str(CORPUS_PATH))
+    assert proc.returncode == 2, proc.stdout
+    assert json.loads(proc.stderr)["pointer"] == "/config" + pointer
+
+
+def test_evaluate_rejects_a_malformed_true_location_with_pointer(tmp_path):
+    lines = CORPUS_PATH.read_text(encoding="utf-8").splitlines()
+    entry = json.loads(lines[3])
+    entry["true_location"] = "a#b#c"
+    lines[3] = json.dumps(entry)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = run_cli("evaluate", "--corpus", str(corpus))
+    assert proc.returncode == 2, proc.stdout
+    error = json.loads(proc.stderr)
+    assert (error["error"], error["pointer"]) == ("SchemaError", "/3/true_location")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_smoothing_flag_exits_2(value):
     proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH), f"--smoothing={value}")

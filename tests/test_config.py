@@ -75,6 +75,8 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         ({"nb_smoothing": float("inf")}, "/config/nb_smoothing"),
         ({"chi2_ratio": float("nan")}, "/config/chi2_ratio"),
         ({"nb_smoothing": 10**400}, "/config/nb_smoothing"),
+        ({"framework_prefixes": []}, "/config/framework_prefixes"),
+        ({"framework_prefixes": ["android.", ""]}, "/config/framework_prefixes/1"),
     ],
 )
 def test_config_from_json_obj_rejects_bad_shapes(obj, pointer):

@@ -88,6 +88,24 @@ def test_entry_validation_errors(matcher):
         labeled_crash_from_json(entry, matcher)
 
 
+@pytest.mark.parametrize("category, true_location", [
+    ("A", "a#b#c"),
+    ("A", "com.app.d.Main.go"),
+    ("B", "com.app.d.Main#go(int"),
+    ("C", "Manifestx"),
+    ("C", "com.app.d.Main#go"),
+])
+def test_true_location_must_fit_the_category(tmp_path, matcher, category, true_location):
+    entry = _entry(category=category, true_location=true_location,
+                   api_h={"class_name": "android.app.A", "method_name": "m", "kind": "call-in"},
+                   sub_category="Manifest")
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(_entry()) + "\n" + json.dumps(entry) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_corpus(path, matcher)
+    assert exc.value.pointer == "/1/true_location"
+
+
 def test_app_model_paths_resolve_against_corpus_dir(tmp_path, matcher):
     entry = _entry(
         category="B",

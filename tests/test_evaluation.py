@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from crashloc import evaluation
 from crashloc.config import Config
 from crashloc.corpus import LabeledCrash
 from crashloc.errors import CorpusTooSmall, EmptySet
@@ -17,9 +22,10 @@ from crashloc.evaluation import (
     score_summary_by_bucket,
     shuffled_indices,
 )
-from crashloc.localizer import SubCategory
+from crashloc.localizer import Pipeline, SubCategory
 from crashloc.nb import Category
 from crashloc.similarity import frame_seq
+from crashloc.trace import FrameworkMatcher, parse_and_split
 
 from conftest import make_report
 
@@ -262,6 +268,97 @@ def test_evaluate_records_locate_failures(corpus):
     }
     assert report.mrr < 1.0
     assert report.localization["perfect_categorization"]["per_category"]["B"]["mrr"] == 0.0
+
+
+def _count_locate_as(monkeypatch) -> list:
+    """Record (category, report) of every ``Pipeline.locate_as`` call."""
+    calls = []
+    original = Pipeline.locate_as
+
+    def counting(self, category, report, app_model):
+        calls.append((category, report))
+        return original(self, category, report, app_model)
+
+    monkeypatch.setattr(Pipeline, "locate_as", counting)
+    return calls
+
+
+def test_evaluate_localizes_each_crash_once_per_category(corpus, monkeypatch):
+    calls = _count_locate_as(monkeypatch)
+    report = evaluate(corpus, Config(seed=0))
+    mispredicted = sum(report.confusion[p.value][a.value]
+                       for p in Category for a in Category if p is not a)
+    assert mispredicted == 5
+    assert len(calls) == len(corpus) + mispredicted == 45
+
+
+def test_evaluate_loads_each_app_model_once(corpus, monkeypatch):
+    loaded = []
+    original = evaluation.load_app_model
+
+    def counting(path):
+        loaded.append(path)
+        return original(path)
+
+    monkeypatch.setattr(evaluation, "load_app_model", counting)
+    evaluate(corpus, Config(seed=0))
+    distinct = {c.app_model for c in corpus if c.category is Category.B}
+    assert sorted(loaded) == sorted(distinct)
+    assert len(loaded) == 2
+
+
+def test_evaluate_warns_once_for_a_correctly_categorized_crash(corpus, monkeypatch, caplog):
+    # The first B crash gains a developer frame whose class its app model
+    # lacks; its locator logs the skipped frame each time it runs.
+    index = next(i for i, c in enumerate(corpus) if c.category is Category.B)
+    crash_log = corpus[index].crash_log.replace(
+        "\tat com.yamlearning", "\tat com.unmodeled.app.Mystery.zap(Mystery.java:1)\n"
+        "\tat com.yamlearning", 1)
+    mystery = replace(corpus[index], crash_log=crash_log,
+                      report=parse_and_split(crash_log, FrameworkMatcher()))
+    crashes = list(corpus)
+    crashes[index] = mystery
+    calls = _count_locate_as(monkeypatch)
+    with caplog.at_level("WARNING", logger="crashloc.localizer"):
+        evaluate(crashes, Config(seed=0))
+    # Phase 1 predicts B for it, so both protocols read one B localization.
+    assert [category for category, report in calls if report is mystery.report] == [Category.B]
+    assert caplog.text.count("skipping frame com.unmodeled.app.Mystery.zap") == 1
+
+
+# ``evaluate(...).to_json()`` on the fixture corpus with every Category-B
+# crash's app model taken away or pointed at a missing relative path, so that
+# each B localization fails. Recorded from the implementation that localized
+# every crash once per protocol.
+FAILURE_DIGESTS = {
+    (None, 0, "end_to_end"):
+        "57d98c56354ead47c6b600df558396d984d8ffa599943bf0da69aad61e757189",
+    (None, 0, "perfect_categorization"):
+        "edf1334aed5600672a7fa2c0f87fbc0f7651206d0b31df4cc41854bb2e8eb0b0",
+    (None, 1, "end_to_end"):
+        "ac0dfd1bf4a99a30572d24814b898bba3cff9ea487d34ff845e8bcaf0375310e",
+    (None, 1, "perfect_categorization"):
+        "3f857ddeb19da2cf914c339ff6bf3b63e4cd1e4b6ba8eaa31e6cc348d8303db5",
+    ("no_such_dir/app_model.json", 0, "end_to_end"):
+        "f56a3c7ed17d1183d43ee8ca79e284597d4212d118a868b49ba75d1f073893da",
+    ("no_such_dir/app_model.json", 0, "perfect_categorization"):
+        "180f2febc5ebb3c0daadbd5a13088be4bc8fcec35df4f3357c30ccafb80adc88",
+    ("no_such_dir/app_model.json", 1, "end_to_end"):
+        "bf0f7b79d1f982810ebca16a8759b99b74e17d0e592a4c74f66d43f27946724a",
+    ("no_such_dir/app_model.json", 1, "perfect_categorization"):
+        "2fcdc879524b1ffe62a1664af735b88573a2ffcec4ab6aba8b7f4621b51ac3cd",
+}
+
+
+@pytest.mark.parametrize("model, seed, protocol", list(FAILURE_DIGESTS))
+def test_evaluate_failure_report_is_byte_identical(corpus, model, seed, protocol):
+    app_model = Path(model) if model else None
+    crashes = [replace(c, app_model=app_model) if c.category is Category.B else c
+               for c in corpus]
+    report = evaluate(crashes, Config(seed=seed), protocol=protocol)
+    assert len(report.failures) == 20
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == FAILURE_DIGESTS[(model, seed, protocol)]
 
 
 def test_render_text_contains_tables(corpus, config):
