@@ -13,7 +13,8 @@ The model is consumed as JSON (never extracted from binaries here):
 Method references are strings ``class#method(sig)`` (``(sig)`` optional).
 Active methods are the methods with actual code bodies declared in a class;
 non-overridden callbacks are inherited callback APIs the class never
-overrides, recorded with their defining framework class. Loading validates
+overrides, recorded with their defining framework class and kept nearest
+superclass first (a stable sort of the listed order). Loading validates
 every reference and rejects dangling ones; the loaded model is immutable
 and all queries are pure. The call graph that ``links`` and ``invokers_of``
 walk is derived once per model, on the first such query.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DanglingRef, SchemaError, UnknownClass, expect, expect_items, read_json
+from .errors import DanglingRef, SchemaError, expect, expect_items, read_json
 
 API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
@@ -100,12 +101,6 @@ class AppModel:
     invocations: tuple[tuple[MethodRef, tuple[MethodRef, ...]], ...]
     param_flows: tuple[tuple[MethodRef, int, str], ...]
     apis: tuple[ApiRef, ...]
-
-    def class_def(self, name: str) -> ClassDef:
-        try:
-            return self.classes[name]
-        except KeyError:
-            raise UnknownClass(f"class {name!r} is not declared in the app model") from None
 
     @cached_property
     def call_graph(self) -> "CallGraph":
@@ -208,13 +203,15 @@ def app_model_from_json(obj: dict) -> AppModel:
                     f"{ptr}/active_methods/{mi}",
                 )
             active.append(ref)
+        # A superclass listed twice ranks at its last position.
+        chain_pos = {cls: i for i, cls in enumerate(supers)}
         ncs = []
         nc_texts = expect_items(expect(centry, "non_overridden_callbacks", list, ptr), str,
                                 f"{ptr}/non_overridden_callbacks")
         for mi, mtext in enumerate(nc_texts):
             nptr = f"{ptr}/non_overridden_callbacks/{mi}"
             ref = parse_method_ref(mtext, False, nptr)
-            if ref.class_name not in supers:
+            if ref.class_name not in chain_pos:
                 raise DanglingRef(
                     f"callback {ref.canonical()!r} is defined outside the "
                     f"superclass chain of {name!r}",
@@ -231,7 +228,8 @@ def app_model_from_json(obj: dict) -> AppModel:
             name=name,
             superclasses=supers,
             active_methods=tuple(active),
-            non_overridden_callbacks=tuple(ncs),
+            non_overridden_callbacks=tuple(
+                sorted(ncs, key=lambda nc: chain_pos[nc.class_name])),
         )
 
     declared = {}
@@ -306,20 +304,6 @@ def app_model_from_json(obj: dict) -> AppModel:
 def invokers_of(model: AppModel, api: ApiRef) -> list[MethodRef]:
     """Developer methods with an invocation edge to the API, in model order."""
     return list(model.call_graph.invokers.get((api.class_name, api.method_name), ()))
-
-
-def active_methods(model: AppModel, class_name: str) -> list[MethodRef]:
-    return list(model.class_def(class_name).active_methods)
-
-
-def non_overridden_callbacks(model: AppModel, class_name: str) -> list[MethodRef]:
-    """The class's inherited-but-not-overridden callbacks, nearest superclass first."""
-    cdef = model.class_def(class_name)
-    chain_pos = {name: i for i, name in enumerate(cdef.superclasses)}
-    return sorted(
-        cdef.non_overridden_callbacks,
-        key=lambda nc: chain_pos.get(nc.class_name, len(cdef.superclasses)),
-    )
 
 
 def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5) -> bool:

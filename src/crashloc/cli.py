@@ -106,7 +106,7 @@ def _bundle_from_obj(obj) -> tuple[NBModel, Config]:
     vocab_obj = expect(obj, "selected_vocab", dict, "")
     selected = SelectedVocabulary.from_json_obj(vocab_obj, "/selected_vocab")
     nb_model = NBModel.from_json_obj(expect(obj, "nb", dict, ""), selected, "/nb")
-    return nb_model, config_from_json_obj(obj.get("config", {}), "/config")
+    return nb_model, config_from_json_obj(expect(obj, "config", dict, ""), "/config")
 
 
 def cmd_train(args: argparse.Namespace) -> int:

@@ -56,6 +56,10 @@ class Config:
             raise ValueError(f"links_depth must be >= 1, got {self.links_depth}")
         if self.kfold_k < 2:
             raise ValueError(f"kfold_k must be >= 2, got {self.kfold_k}")
+        if not self.framework_prefixes:
+            raise ValueError("framework_prefixes must hold at least one prefix")
+        if "" in self.framework_prefixes:
+            raise ValueError("a framework prefix must not be empty")
 
     def to_json_obj(self) -> dict:
         obj = {f.name: getattr(self, f.name) for f in fields(self)}

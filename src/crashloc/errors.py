@@ -35,10 +35,6 @@ class EmptyPool(CrashLocError):
     """Nearest-crash retrieval was given an empty candidate pool."""
 
 
-class UnknownClass(CrashLocError):
-    """A class name does not resolve inside the loaded app model."""
-
-
 class ArtifactError(CrashLocError):
     """Problem in a serialized artifact; carries a JSON-pointer-style path."""
 

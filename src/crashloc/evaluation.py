@@ -18,7 +18,6 @@ to 1.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -235,7 +234,19 @@ def evaluate(
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     fallback = Path(fallback_model) if fallback_model else None
-    load = functools.cache(load_app_model)  # each app-model path is read once per call
+    loaded: dict = {}  # path -> its app model, or the error loading it raised: one read each
+
+    def load(path):
+        if path not in loaded:
+            try:
+                loaded[path] = load_app_model(path)
+            except CrashLocError as exc:
+                loaded[path] = exc
+        model = loaded[path]
+        if isinstance(model, CrashLocError):
+            raise model.with_traceback(None)  # so raising it again does not grow its traceback
+        return model
+
     predicted: list = [None] * len(corpus)
     outcomes: list = [None] * len(corpus)  # per crash: category -> its locator's outcome
     for train, test in kfold_indices(len(corpus), config.kfold_k, config.seed):

@@ -22,14 +22,12 @@ from .appmodel import (
     ApiRef,
     AppModel,
     MethodRef,
-    active_methods,
     inherits_from,
     invokers_of,
     links,
-    non_overridden_callbacks,
     parse_method_ref,
 )
-from .errors import CrashLocError, EmptyPool, LocateError, UnknownClass
+from .errors import CrashLocError, EmptyPool, LocateError
 from .nb import Category, NBModel, predict
 from .features import vectorize
 from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
@@ -129,16 +127,15 @@ def infer_handled_api(report: CrashReport, training_b: Pool) -> tuple[ApiRef, di
     return nearest.api_h, provenance
 
 
-def _known_frames(report: CrashReport, model: AppModel, members_of):
-    """(distance, frame, members_of(model, class)) per developer frame whose
-    class the app model declares; the others are skipped with a warning."""
+def _known_frames(report: CrashReport, model: AppModel):
+    """(distance, frame, class definition) per developer frame whose class
+    the app model declares; the others are skipped with a warning."""
     for d, frame in enumerate(report.developer_frames, 1):
-        try:
-            members = members_of(model, frame.class_name)
-        except UnknownClass:
+        cdef = model.classes.get(frame.class_name)
+        if cdef is None:
             logger.warning("skipping frame %s: class not in app model", frame.qualified_name)
             continue
-        yield d, frame, members
+        yield d, frame, cdef
 
 
 def locate_category_b(
@@ -159,9 +156,9 @@ def locate_category_b(
         invokers = invokers_of(model, api)
         # Invokers are unique by canonical name, so one score per position.
         scores = [0.0] * len(invokers)
-        for d, _, frame_methods in _known_frames(report, model, active_methods):
+        for d, _, cdef in _known_frames(report, model):
             for i, s in enumerate(invokers):
-                for am in frame_methods:
+                for am in cdef.active_methods:
                     if links(model, s, am, depth):
                         scores[i] += 1.0 / d
         ranked = sorted(
@@ -171,8 +168,8 @@ def locate_category_b(
     else:
         ranked = []
         seen = set()
-        for d, frame, callbacks in _known_frames(report, model, non_overridden_callbacks):
-            for nc in callbacks:
+        for d, frame, cdef in _known_frames(report, model):
+            for nc in cdef.non_overridden_callbacks:
                 if not inherits_from(model, nc, api):
                     continue
                 suggestion = MethodRef(

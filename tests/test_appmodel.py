@@ -7,16 +7,14 @@ import pytest
 from crashloc.appmodel import (
     ApiRef,
     MethodRef,
-    active_methods,
     app_model_from_json,
     inherits_from,
     invokers_of,
     links,
     load_app_model,
-    non_overridden_callbacks,
     parse_method_ref,
 )
-from crashloc.errors import DanglingRef, SchemaError, UnknownClass
+from crashloc.errors import DanglingRef, SchemaError
 
 from conftest import APP_MODELS
 
@@ -66,7 +64,7 @@ def test_parse_method_ref_variants():
 def test_minimal_model_loads():
     model = _model(classes=[_class("com.a.B", active=["com.a.B#run()"])])
     assert list(model.classes) == ["com.a.B"]
-    assert active_methods(model, "com.a.B")[0].method_name == "run"
+    assert model.classes["com.a.B"].active_methods[0].method_name == "run"
 
 
 def test_dangling_callee_rejected():
@@ -117,7 +115,7 @@ def test_callback_outside_chain_rejected():
 
 
 def test_fengshui_fixture_shape(fengshui):
-    helper = fengshui.class_def("com.divination1518.g.p")
+    helper = fengshui.classes["com.divination1518.g.p"]
     assert helper.superclasses[0] == "android.database.sqlite.SQLiteOpenHelper"
     assert any(nc.method_name == "onDowngrade" for nc in helper.non_overridden_callbacks)
 
@@ -147,11 +145,10 @@ def test_invokers_of_geography_bindservice(geography):
 
 
 def test_active_methods_order_and_unknown_class(fengshui):
-    assert active_methods(_model(classes=[_class("com.a.Empty")]), "com.a.Empty") == []
-    names = [m.method_name for m in active_methods(fengshui, "com.divination1518.g.p")]
+    assert _model(classes=[_class("com.a.Empty")]).classes["com.a.Empty"].active_methods == ()
+    names = [m.method_name for m in fengshui.classes["com.divination1518.g.p"].active_methods]
     assert names == ["a", "onCreate", "onUpgrade"]
-    with pytest.raises(UnknownClass):
-        active_methods(fengshui, "com.divination1518.missing.X")
+    assert "com.divination1518.missing.X" not in fengshui.classes
 
 
 def _chain_model(depth_edges):
@@ -220,10 +217,9 @@ def test_links_param_flow():
 
 
 def test_non_overridden_callbacks_order_and_content(fengshui):
-    assert non_overridden_callbacks(
-        _model(classes=[_class("com.a.Full")]), "com.a.Full"
-    ) == []
-    ncs = non_overridden_callbacks(fengshui, "com.divination1518.g.p")
+    full = _model(classes=[_class("com.a.Full")])
+    assert full.classes["com.a.Full"].non_overridden_callbacks == ()
+    ncs = fengshui.classes["com.divination1518.g.p"].non_overridden_callbacks
     assert [nc.method_name for nc in ncs] == ["onDowngrade", "onOpen"]
 
     model = _model(
@@ -235,7 +231,8 @@ def test_non_overridden_callbacks_order_and_content(fengshui):
             )
         ]
     )
-    ordered = non_overridden_callbacks(model, "com.a.W")
+    # Loading keeps the callbacks nearest superclass first, whatever the listed order.
+    ordered = model.classes["com.a.W"].non_overridden_callbacks
     assert [nc.class_name for nc in ordered] == ["android.near.Base", "android.far.Root"]
 
 
@@ -264,7 +261,7 @@ def test_inherits_from_walks_declared_chain():
         ],
         apis=[{"class_name": "android.base.Parent", "method_name": "onEvent", "kind": "callback"}],
     )
-    nc = non_overridden_callbacks(model, "com.a.W")[0]
+    nc = model.classes["com.a.W"].non_overridden_callbacks[0]
     assert inherits_from(model, nc, ApiRef("android.base.Parent", "onEvent", "callback"))
 
 

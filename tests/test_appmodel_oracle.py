@@ -1,15 +1,19 @@
-"""The indexed call-graph queries agree with the direct walks they replaced.
+"""The indexed call-graph queries and the load-time callback order agree
+with the direct computations they replaced.
 
 ``reference_invokers_of`` and ``reference_links`` scan ``model.invocations``
 and ``model.param_flows`` on every call; they are kept here, unchanged, as
 the oracle for ``appmodel.invokers_of`` and ``appmodel.links``.
+``reference_non_overridden_callbacks`` is the sort the Category-B locator
+once ran per query; applied to a class's callbacks in their listed order,
+it is the oracle for the order in which loading keeps them.
 """
 from __future__ import annotations
 
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crashloc.appmodel import (
     ApiRef,
@@ -76,6 +80,17 @@ def reference_links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5
     return False
 
 
+def reference_non_overridden_callbacks(
+    superclasses: tuple[str, ...], callbacks: list[MethodRef]
+) -> list[MethodRef]:
+    """The class's inherited-but-not-overridden callbacks, nearest superclass first."""
+    chain_pos = {name: i for i, name in enumerate(superclasses)}
+    return sorted(
+        callbacks,
+        key=lambda nc: chain_pos.get(nc.class_name, len(superclasses)),
+    )
+
+
 # Method slots a class may declare: (method, signature text or None). Their
 # canonical strings are pairwise distinct, so any subset is a valid class.
 # The same method name recurs with several signatures (overloads) and with
@@ -90,6 +105,10 @@ SLOTS = (
     ("onClick", ""),
 )
 CLASS_NAMES = ("com.app.Main", "com.app.Helper", "com.app.Store", "com.lib.Util")
+# Superclass chains draw 1-3 of these, repeats allowed. Callback names are
+# used by no slot, so a callback never clashes with an active method.
+SUPER_NAMES = ("android.app.Activity", "android.app.Fragment", "java.lang.Object")
+CALLBACK_TEXTS = ("onStart()", "onPause()", "onResume", "onEvent(int)")
 API_REFS = (
     ("android.app.Service", "bindService", "call-in"),
     ("android.content.Context", "run", "call-in"),
@@ -121,11 +140,14 @@ def app_model_json(draw):
     for name in CLASS_NAMES[:n_classes]:
         slots = draw(st.lists(st.sampled_from(SLOTS), min_size=1, max_size=4, unique=True))
         declared.extend((name, method, sig) for method, sig in slots)
+        supers = draw(st.lists(st.sampled_from(SUPER_NAMES), min_size=1, max_size=3))
+        callbacks = draw(st.lists(
+            st.tuples(st.sampled_from(supers), st.sampled_from(CALLBACK_TEXTS)), max_size=5))
         classes.append({
             "name": name,
-            "superclasses": ["java.lang.Object"],
+            "superclasses": supers,
             "active_methods": [_spellings(name, m, sig)[0] for m, sig in slots],
-            "non_overridden_callbacks": [],
+            "non_overridden_callbacks": [f"{cls}#{text}" for cls, text in callbacks],
         })
     apis = draw(st.lists(st.sampled_from(API_REFS), max_size=len(API_REFS), unique=True))
     declared_texts = {_spellings(*d)[0] for d in declared}
@@ -198,6 +220,43 @@ def test_indexed_queries_match_reference_on_random_models(obj):
 @pytest.mark.parametrize("name", ["fengshui.json", "geography.json"])
 def test_indexed_queries_match_reference_on_fixtures(name):
     _assert_agrees(load_app_model(APP_MODELS / name))
+
+
+def _assert_callbacks_in_reference_order(obj: dict) -> None:
+    model = app_model_from_json(obj)
+    for centry in obj["classes"]:
+        listed = [parse_method_ref(text, False) for text in centry["non_overridden_callbacks"]]
+        expected = reference_non_overridden_callbacks(tuple(centry["superclasses"]), listed)
+        assert list(model.classes[centry["name"]].non_overridden_callbacks) == expected, centry
+
+
+# A superclass listed twice sorts by its last position: Activity ranks after
+# Fragment here, so the Fragment callback comes first.
+_REPEATED_SUPER = {
+    "classes": [{
+        "name": "com.app.Main",
+        "superclasses": ["android.app.Activity", "android.app.Fragment", "android.app.Activity"],
+        "active_methods": [],
+        "non_overridden_callbacks": ["android.app.Activity#onStart()",
+                                     "android.app.Fragment#onPause()"],
+    }],
+    "invocations": [],
+    "param_flows": [],
+    "apis": [],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_model_json())
+@example(_REPEATED_SUPER)
+def test_loaded_callbacks_match_reference_order_on_random_models(obj):
+    _assert_callbacks_in_reference_order(obj)
+
+
+@pytest.mark.parametrize("name", ["fengshui.json", "geography.json"])
+def test_loaded_callbacks_match_reference_order_on_fixtures(name):
+    _assert_callbacks_in_reference_order(
+        json.loads((APP_MODELS / name).read_text(encoding="utf-8")))
 
 
 def test_respelled_callee_is_its_declaration():

@@ -252,6 +252,16 @@ def _drop(obj, section, key):
     return obj
 
 
+def _run_on_bundle(command, tmp_path, obj):
+    """``locate`` or ``inspect`` run on ``obj`` written as a bundle file."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    if command == "locate":
+        return run_cli("locate", str(CRASH_DIR / "a1_notes_npe.log"), "--model", str(bad),
+                       "--corpus", str(CORPUS_PATH))
+    return run_cli("inspect", str(bad))
+
+
 @pytest.mark.parametrize("command", ["locate", "inspect"])
 @pytest.mark.parametrize(
     "mutate",
@@ -265,18 +275,25 @@ def _drop(obj, section, key):
 )
 def test_malformed_bundle_exits_2_with_pointer(bundle, tmp_path, command, mutate):
     path, _ = bundle
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(mutate(json.loads(path.read_text(encoding="utf-8")))),
-                   encoding="utf-8")
-    if command == "locate":
-        proc = run_cli("locate", str(CRASH_DIR / "a1_notes_npe.log"), "--model", str(bad),
-                       "--corpus", str(CORPUS_PATH))
-    else:
-        proc = run_cli("inspect", str(bad))
+    proc = _run_on_bundle(command, tmp_path,
+                          mutate(json.loads(path.read_text(encoding="utf-8"))))
     assert proc.returncode == 2, proc.stderr
     error = json.loads(proc.stderr.strip().splitlines()[-1])
     assert error["error"] == "SchemaError"
     assert error["pointer"].startswith("/")
+
+
+@pytest.mark.parametrize("command", ["locate", "inspect"])
+def test_bundle_without_config_exits_2_with_pointer(bundle, tmp_path, command):
+    # A bundle is trained with its settings; none are filled in by default.
+    path, _ = bundle
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    del obj["config"]
+    proc = _run_on_bundle(command, tmp_path, obj)
+    assert proc.returncode == 2, proc.stdout
+    error = json.loads(proc.stderr)
+    assert (error["error"], error["pointer"]) == ("SchemaError", "/")
+    assert error["message"].startswith("missing key 'config'")
 
 
 def test_locate_takes_settings_from_bundle(tmp_path, monkeypatch, capsys):

@@ -30,6 +30,8 @@ def test_defaults():
         {"nb_smoothing": float("inf")},
         {"chi2_ratio": float("nan")},
         {"nb_smoothing": 10**400},
+        {"framework_prefixes": ()},
+        {"framework_prefixes": ("android.", "")},
     ],
 )
 def test_validation_rejects_bad_values(kwargs):

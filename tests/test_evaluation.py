@@ -292,7 +292,8 @@ def test_evaluate_localizes_each_crash_once_per_category(corpus, monkeypatch):
     assert len(calls) == len(corpus) + mispredicted == 45
 
 
-def test_evaluate_loads_each_app_model_once(corpus, monkeypatch):
+def _count_app_model_loads(monkeypatch) -> list:
+    """The paths ``evaluate`` passes to ``load_app_model``, one entry per call."""
     loaded = []
     original = evaluation.load_app_model
 
@@ -301,10 +302,26 @@ def test_evaluate_loads_each_app_model_once(corpus, monkeypatch):
         return original(path)
 
     monkeypatch.setattr(evaluation, "load_app_model", counting)
+    return loaded
+
+
+def test_evaluate_loads_each_app_model_once(corpus, monkeypatch):
+    loaded = _count_app_model_loads(monkeypatch)
     evaluate(corpus, Config(seed=0))
     distinct = {c.app_model for c in corpus if c.category is Category.B}
     assert sorted(loaded) == sorted(distinct)
     assert len(loaded) == 2
+
+
+def test_evaluate_loads_a_failing_app_model_once(corpus, monkeypatch):
+    missing = Path("no_such_dir/app_model.json")
+    crashes = [replace(c, app_model=missing) if c.category is Category.B else c
+               for c in corpus]
+    loaded = _count_app_model_loads(monkeypatch)
+    report = evaluate(crashes, Config(seed=0))
+    assert loaded == [missing]
+    assert len(report.failures) == 20
+    assert {f["error"] for f in report.failures} == {"SchemaError"}
 
 
 def test_evaluate_warns_once_for_a_correctly_categorized_crash(corpus, monkeypatch, caplog):

@@ -200,6 +200,23 @@ def test_category_b_callback_dedupes_repeated_classes(matcher, fengshui):
     assert result.ranked[0][1] == 1.0  # kept at the closest frame's score
 
 
+def test_category_b_callback_unknown_frame_class_is_skipped(matcher, fengshui, caplog):
+    report = make_report(
+        exception="android.database.sqlite.SQLiteException",
+        message="Can't downgrade database from version 19 to 17",
+        framework=("android.database.sqlite.SQLiteOpenHelper.getWritableDatabase",),
+        developer=("com.unmodeled.app.Mystery.zap", "com.divination1518.g.p.a"),
+    )
+    on_downgrade = ApiRef("android.database.sqlite.SQLiteOpenHelper", "onDowngrade", "callback")
+    with caplog.at_level("WARNING"):
+        result = locate_category_b(report, fengshui, [_labeled_b(report, on_downgrade)])
+    assert "skipping frame com.unmodeled.app.Mystery.zap: class not in app model" in caplog.text
+    # Only the modeled frame's callback is ranked, at distance 2.
+    assert [(location_label(loc), score) for loc, score in result.ranked] == [
+        ("com.divination1518.g.p#onDowngrade(android.database.sqlite.SQLiteDatabase,int,int)", 0.5)
+    ]
+
+
 def test_category_b_vacuous_search_returns_empty_rank(matcher, geography):
     query = _crash("b_geography_service.log", matcher)
     unbind = ApiRef("android.content.ContextWrapper", "unbindService", "call-in")
