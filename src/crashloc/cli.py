@@ -31,7 +31,7 @@ from pathlib import Path
 from .appmodel import app_model_from_json, load_app_model
 from .config import Config, config_from_json_obj, load_config
 from .corpus import load_corpus
-from .errors import CrashLocError, LocateError, SchemaError, expect, parse_json, read_json
+from .errors import CrashLocError, LocateError, SchemaError, expect, parse_json, read_json, read_text
 from .evaluation import bucketize, evaluate, fit, render_bucket_summary, render_text
 from .features import SelectedVocabulary
 from .localizer import locate, location_label
@@ -134,11 +134,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     matcher = FrameworkMatcher(config.framework_prefixes)
     corpus = load_corpus(args.corpus, matcher)
     app_model = load_app_model(args.app_model) if args.app_model else None
-    try:
-        crash_text = Path(args.crash_log).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read crash log: {exc}") from exc
-    report = parse_and_split(crash_text, matcher)
+    report = parse_and_split(read_text(args.crash_log, "crash log"), matcher)
     result = locate(report, app_model, corpus, nb_model, config.links_depth)
     if args.pretty:
         print(f"predicted category: {result.predicted_category.value}")
@@ -167,10 +163,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path, "file")
 
     summary = None
     stripped = text.lstrip()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .appmodel import ApiRef, parse_method_ref
-from .errors import CrashLocError, SchemaError, expect, parse_json
+from .errors import CrashLocError, SchemaError, expect, parse_json, read_text
 from .localizer import SubCategory
 from .nb import Category
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
@@ -115,10 +115,7 @@ def labeled_crash_from_json(
 
 def load_corpus(path: str | Path, matcher: FrameworkMatcher) -> list[LabeledCrash]:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read corpus: {exc}") from exc
+    text = read_text(path, "corpus")
     crashes = []
     for li, line in enumerate(text.splitlines()):
         if not line.strip():

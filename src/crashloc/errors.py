@@ -76,13 +76,20 @@ def parse_json(text: str, what: str, pointer: str = "/"):
         raise SchemaError(f"{what} is not valid JSON: {exc}", pointer) from exc
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON value in the file at ``path``; SchemaError if unreadable or malformed."""
+def read_text(path: str | Path, what: str) -> str:
+    """The text of the UTF-8 file at ``path``; SchemaError naming ``what``
+    and the file if it cannot be read or decoded."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
-    return parse_json(text, what)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {what}: {str(path)!r} is not UTF-8: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file at ``path``; SchemaError if unreadable or malformed."""
+    return parse_json(read_text(path, what), what)
 
 
 # Shape checks shared by the artifact loaders. ``bool`` is a subclass of

@@ -192,15 +192,18 @@ def locate_category_b(
 def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResult:
     """Rank sub-categories by mean similarity to their training crashes.
 
-    Each distinct sub-trace is scored once; the sums still add one score
+    Each distinct sub-trace that shares a frame with the query is scored
+    once; every other one scores exactly 0.0. The sums still add one score
     per training crash in pool order, so the means are those of the
     per-crash loop to the last bit.
     """
     index = SubtraceIndex.of(training_c)
     if not index.pool:
         raise EmptyPool("no Category-C training crashes to compare against")
-    key_scores = [crash_similarity(report, index.pool[position].report)
-                  for position in index.first.values()]
+    positions = list(index.first.values())
+    key_scores = [0.0] * len(positions)
+    for key_id in index.sharing(frame_seq(report)):
+        key_scores[key_id] = crash_similarity(report, index.pool[positions[key_id]].report)
     sums: dict[SubCategory, float] = {}
     counts: dict[SubCategory, int] = {}
     for i, (crash, key_id) in enumerate(zip(index.pool, index.key_ids)):

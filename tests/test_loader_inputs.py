@@ -4,7 +4,7 @@ the fixture corpus either loads or raises an ArtifactError that points into
 the input; a config or bundle that loads holds only finite numbers. Text
 that the JSON parser cannot take (nesting too deep for it, an integer too
 long to convert) makes every command exit 2 with a pointer, not a
-traceback."""
+traceback, and so does a file that is not UTF-8, naming that file."""
 from __future__ import annotations
 
 import copy
@@ -174,3 +174,32 @@ def test_unparseable_json_exits_2_with_pointer(tmp_path, case):
     assert "Traceback" not in proc.stderr
     error = json.loads(proc.stderr.strip().splitlines()[-1])
     assert (error["error"], error["pointer"]) == ("SchemaError", pointer)
+
+
+# case -> (command line with {path} for the file, how the message names it)
+NOT_UTF8 = {
+    "crash-log": (["locate", "{path}", "--model", "{bundle}", "--corpus", str(CORPUS_PATH)],
+                  "crash log"),
+    "corpus": (["evaluate", "--corpus", "{path}"], "corpus"),
+    "model-bundle": (_locate_args(bundle="{path}"), "model bundle"),
+    "app-model": (_locate_args(app_model="{path}"), "app model"),
+    "config": (["evaluate", "--corpus", str(CORPUS_PATH)], "config file"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_invalid_utf8_exits_2_naming_the_file(tmp_path, case):
+    args, what = NOT_UTF8[case]
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe{}\n")  # a UTF-16 byte-order mark
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(BUNDLE_OBJ), encoding="utf-8")
+    args = [arg.format(path=path, bundle=bundle) for arg in args]
+    env = {"CRASHLOC_CONFIG": str(path)} if case == "config" else None
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["error"] == "SchemaError"
+    assert error["message"].startswith(f"cannot read {what}: ")
+    assert str(path) in error["message"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +48,16 @@ def test_edit_distance_matches_exhaustive_search_small_space():
     for a in seqs:
         for b in seqs:
             assert edit_distance(a, b) == exhaustive_min_edit_cost(a, b)
+
+
+def test_edit_distance_on_a_stack_overflow_length_trace():
+    # A StackOverflowError trace runs to thousands of frames; the row DP
+    # took seconds on this pair.
+    a = tuple(f"f{i}" for i in range(2000))
+    fresh = {position: f"g{position}" for position in random.Random(37).sample(range(2000), 37)}
+    b = tuple(fresh.get(i, frame) for i, frame in enumerate(a))
+    assert edit_distance(a, b) == 37
+    assert edit_distance(b, a) == 37
 
 
 def test_seq_similarity_examples():

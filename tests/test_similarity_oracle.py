@@ -1,18 +1,26 @@
-"""The sub-trace index agrees exactly with the per-entry scans it replaced.
+"""The fast similarity paths agree exactly with the code they replaced.
+
+``reference_edit_distance`` is the row DP kept verbatim; on sequences over
+small alphabets with heavy repetition and lengths around the word size,
+the bit-parallel ``edit_distance`` must return the same distance, and the
+bag distance that the nearest-crash search uses to skip keys must never
+exceed it.
 
 ``reference_most_similar``, ``reference_infer_handled_api`` and
 ``reference_locate_category_c`` are the linear versions kept verbatim: one
 similarity per pool entry, the nearest crash found by value with
 ``list.index``, the Category-C sums built entry by entry. On random pools
-with repeated and near-duplicate sub-traces, empty sub-traces, ties and
-duplicate crashes, the indexed locators must return the same nearest crash,
+with repeated, permuted and near-duplicate sub-traces, empty sub-traces,
+sub-traces sharing no frame with the query, ties and duplicate crashes,
+the indexed locators must return the same nearest crash,
 ``training_index``, score and every Category-C mean (``==`` on floats).
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crashloc.appmodel import ApiRef
 from crashloc.corpus import LabeledCrash
@@ -26,10 +34,33 @@ from crashloc.localizer import (
     locate_category_c,
 )
 from crashloc.nb import Category
-from crashloc.similarity import SubtraceIndex, crash_similarity, group_by_subtrace, most_similar
+from crashloc.similarity import (
+    SubtraceIndex,
+    crash_similarity,
+    edit_distance,
+    group_by_subtrace,
+    most_similar,
+    shared_frames,
+)
 from crashloc.trace import CrashReport
 
 from conftest import make_report
+
+
+def reference_edit_distance(a: Sequence, b: Sequence) -> int:
+    """Levenshtein distance with unit-cost insert/delete/substitute."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, tok_a in enumerate(a, 1):
+        cur = [i] + [0] * len(b)
+        for j, tok_b in enumerate(b, 1):
+            if tok_a == tok_b:
+                cur[j] = prev[j - 1]
+            else:
+                cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
 
 
 def reference_most_similar(query: CrashReport, pool: Sequence["LabeledCrash"]) -> tuple["LabeledCrash", float]:
@@ -94,14 +125,86 @@ def reference_locate_category_c(
 
 
 # ---------------------------------------------------------------------------
+# Edit distance
+# ---------------------------------------------------------------------------
+
+@st.composite
+def token_pairs(draw):
+    """Two sequences over one alphabet of 1-5 tokens, lengths 0-70; the
+    second is often an edited copy of the first, so that long common
+    prefixes and suffixes occur."""
+    alphabet = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
+    tokens = st.sampled_from(alphabet)
+    a = draw(st.lists(tokens, max_size=70))
+    if draw(st.booleans()):
+        return tuple(a), tuple(draw(st.lists(tokens, max_size=70)))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(b)))
+        edit = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if edit == "insert" or at == len(b):
+            b.insert(at, draw(tokens))
+        elif edit == "delete":
+            del b[at]
+        else:
+            b[at] = draw(tokens)
+    return tuple(a), tuple(b)
+
+
+# Patterns of 63, 64 and 65 tokens left once the common prefix and suffix
+# are stripped: one short of, exactly, and one past a 64-bit word, where a
+# fixed-width kernel would carry into a second word.
+WORD_EDGES = [
+    (("f1",) + ("f0",) * 62, ("f0", "f1") * 32),
+    (("f0", "f1") * 32, ("f1", "f0") * 32 + ("f2",)),
+    (("f2",) + ("f0", "f1") * 32, ("f1", "f0") * 32 + ("f0",)),
+    (("f2",) + ("f0", "f1") * 32, ("f0",) * 65 + ("f2",)),
+]
+
+
+def _with_word_edges(test):
+    for pair in WORD_EDGES:
+        test = example(pair=pair)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=token_pairs())
+@_with_word_edges
+def test_edit_distance_matches_row_dp(pair):
+    a, b = pair
+    expected = reference_edit_distance(a, b)
+    assert edit_distance(a, b) == expected
+    assert edit_distance(b, a) == expected
+    assert edit_distance(list(a), list(b)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=token_pairs())
+@_with_word_edges
+def test_bag_distance_never_exceeds_edit_distance(pair):
+    a, b = pair
+    bag_distance = max(len(a), len(b)) - shared_frames(Counter(a), Counter(b))
+    assert abs(len(a) - len(b)) <= bag_distance <= reference_edit_distance(a, b)
+
+
+# ---------------------------------------------------------------------------
 # Random pools
 # ---------------------------------------------------------------------------
 
 FRAMES = ("android.a.A.a", "android.b.B.b", "android.c.C.c", "android.d.D.d")
+# Frames no query holds, so that some keys share no frame with the query.
+POOL_ONLY = ("android.e.E.e", "android.f.F.f")
 APIS = tuple(ApiRef(f"android.x.{name}", "m", "call-in") for name in "PQR")
 
-# Up to 6 frames, so scores include sixths, whose sums depend on their order.
-subtraces = st.lists(st.sampled_from(FRAMES), max_size=6).map(tuple)
+
+def _subtraces(frames) -> st.SearchStrategy:
+    # Up to 6 frames, so scores include sixths, whose sums depend on their order.
+    return st.lists(st.sampled_from(frames), max_size=6).map(tuple)
+
+
+subtraces = _subtraces(FRAMES)
+keys = st.one_of(subtraces, _subtraces(POOL_ONLY), _subtraces(FRAMES[:1] + POOL_ONLY))
 
 
 def _crash(subtrace, api, sub) -> LabeledCrash:
@@ -112,13 +215,14 @@ def _crash(subtrace, api, sub) -> LabeledCrash:
 
 @st.composite
 def pools(draw):
-    """Pools in which sub-traces repeat, nearly repeat or are empty, and crashes
-    reappear as the same object or as an equal copy."""
+    """Pools in which sub-traces repeat, nearly repeat, reappear permuted (a
+    distinct key of the same length and frame bag, so scores tie) or are
+    empty, and crashes reappear as the same object or as an equal copy."""
     pool: list[LabeledCrash] = []
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(("new", "new", "same", "copy", "same-subtrace")))
+        kind = draw(st.sampled_from(("new", "new", "same", "copy", "same-subtrace", "permuted")))
         if kind == "new" or not pool:
-            pool.append(_crash(draw(subtraces), draw(st.sampled_from(APIS)),
+            pool.append(_crash(draw(keys), draw(st.sampled_from(APIS)),
                                draw(st.sampled_from(SUB_CATEGORIES))))
             continue
         earlier = draw(st.sampled_from(pool))
@@ -127,13 +231,19 @@ def pools(draw):
         elif kind == "copy":
             pool.append(_crash(earlier.report.subtrace_key, earlier.api_h, earlier.sub_category))
         else:
-            pool.append(_crash(earlier.report.subtrace_key, draw(st.sampled_from(APIS)),
+            subtrace = earlier.report.subtrace_key
+            if kind == "permuted":
+                subtrace = tuple(draw(st.permutations(subtrace)))
+            pool.append(_crash(subtrace, draw(st.sampled_from(APIS)),
                                draw(st.sampled_from(SUB_CATEGORIES))))
     return pool
 
 
 @settings(max_examples=300, deadline=None)
 @given(pool=pools(), query=subtraces)
+@example(pool=[_crash(FRAMES[:1], APIS[0], SubCategory.HARDWARE),
+               _crash((), APIS[1], SubCategory.HARDWARE),
+               _crash(POOL_ONLY, APIS[2], SubCategory.ASSET)], query=())
 def test_index_agrees_with_per_entry_scans(pool, query):
     report = make_report(framework=query)
     index = SubtraceIndex.of(pool)
@@ -162,6 +272,12 @@ def test_index_is_the_bucketing_of_its_pool(pool):
     assert list(index.first.values()) == [positions[0] for positions in groups.values()]
     for key_id, positions in enumerate(groups.values()):
         assert [index.key_ids[p] for p in positions] == [key_id] * len(positions)
+    for key_id, key in enumerate(groups):
+        assert index.bags[key_id] == Counter(key)
+    frames = {frame for key in groups for frame in key}
+    assert index.postings == {
+        frame: [key_id for key_id, key in enumerate(groups) if frame in key] for frame in frames
+    }
     assert SubtraceIndex.of(index) is index
 
 
