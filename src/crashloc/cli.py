@@ -31,7 +31,9 @@ from pathlib import Path
 from .appmodel import app_model_from_json, load_app_model
 from .config import Config, config_from_json_obj, load_config
 from .corpus import load_corpus
-from .errors import CrashLocError, LocateError, SchemaError, expect, parse_json, read_json, read_text
+from .errors import (
+    CrashLocError, LocateError, SchemaError, expect, parse_json, read_json, read_text, write_text,
+)
 from .evaluation import bucketize, evaluate, fit, render_bucket_summary, render_text
 from .features import SelectedVocabulary
 from .localizer import locate, location_label
@@ -115,8 +117,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     nb_model = fit(corpus, config).nb
     selected = nb_model.selected_vocab
     out_path = Path(args.model)
-    out_path.write_text(json.dumps(_bundle_to_obj(nb_model, config), indent=2) + "\n",
-                        encoding="utf-8")
+    write_text(out_path, json.dumps(_bundle_to_obj(nb_model, config), indent=2) + "\n",
+               "model bundle")
     summary = {
         "documents": len(corpus),
         "vocabulary_size": len(selected.base),

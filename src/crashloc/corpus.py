@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .appmodel import ApiRef, parse_method_ref
-from .errors import CrashLocError, SchemaError, expect, parse_json, read_text
+from .errors import CrashLocError, SchemaError, expect, parse_json, read_text, write_text
 from .localizer import SubCategory
 from .nb import Category
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
@@ -129,6 +129,5 @@ def load_corpus(path: str | Path, matcher: FrameworkMatcher) -> list[LabeledCras
 
 
 def save_corpus(path: str | Path, crashes: list[LabeledCrash], base_dir: Path | None = None) -> None:
-    path = Path(path)
     lines = [json.dumps(c.to_json_obj(base_dir), ensure_ascii=False) for c in crashes]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n", "corpus")

@@ -87,6 +87,15 @@ def read_text(path: str | Path, what: str) -> str:
         raise SchemaError(f"cannot read {what}: {str(path)!r} is not UTF-8: {exc}") from exc
 
 
+def write_text(path: str | Path, text: str, what: str) -> None:
+    """Write ``text`` as UTF-8 to the file at ``path``; SchemaError naming
+    ``what`` and the file if it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {what}: {exc}") from exc
+
+
 def read_json(path: str | Path, what: str):
     """The JSON value in the file at ``path``; SchemaError if unreadable or malformed."""
     return parse_json(read_text(path, what), what)

@@ -262,6 +262,12 @@ class Pipeline:
         return locate_category_c(report, self.index_c)
 
 
+# The last pipeline ``locate`` fitted; one slot, replaced when the next call
+# differs in ``nb``, depth or corpus. Each call works on the pipeline it read
+# or built, so two threads racing here at worst both build one.
+_last_pipeline: Pipeline | None = None
+
+
 def locate(
     report: CrashReport,
     model: AppModel | None,
@@ -269,10 +275,21 @@ def locate(
     nb: NBModel,
     depth: int = 5,
 ) -> LocalizationResult:
-    """Full pipeline for one crash: categorize, then dispatch the locator."""
+    """Full pipeline for one crash: categorize, then dispatch the locator.
+
+    The fitted pipeline, with its B and C sub-trace indexes, is reused while
+    ``nb`` is the same object, ``depth`` is equal and ``corpus`` compares
+    equal to the last call's (element identity first, so the same list costs
+    one pointer compare per crash and an in-place change is seen).
+    """
+    global _last_pipeline
     if nb.selected_vocab is None:
         raise LocateError("categorize", "model bundle carries no vocabulary")
-    pipeline = Pipeline(nb, tuple(corpus), depth)
+    corpus = tuple(corpus)
+    pipeline = _last_pipeline
+    if (pipeline is None or pipeline.nb is not nb or pipeline.links_depth != depth
+            or pipeline.corpus != corpus):
+        pipeline = _last_pipeline = Pipeline(nb, corpus, depth)
     try:
         category = pipeline.categorize(report)
     except CrashLocError as exc:

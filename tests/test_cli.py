@@ -51,6 +51,19 @@ def test_train_bad_path_exits_2():
     assert error["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_train_unwritable_bundle_path_exits_2(tmp_path, target):
+    out = tmp_path / "no_such_dir" / "bundle.json" if target == "missing_dir" else tmp_path
+    proc = run_cli("train", "--corpus", str(CORPUS_PATH), "--model", str(out))
+    assert proc.returncode == 2, proc.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "SchemaError"
+    assert error["message"].startswith("cannot write model bundle: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_locate_category_a_stack_order(bundle):
     path, _ = bundle
     proc = run_cli(

@@ -39,6 +39,13 @@ def test_corpus_roundtrip(tmp_path, corpus, matcher):
         )
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_save_corpus_to_an_unwritable_path_raises_schema_error(tmp_path, corpus, target):
+    out = tmp_path / "no_such_dir" / "copy.jsonl" if target == "missing_dir" else tmp_path
+    with pytest.raises(SchemaError, match="^cannot write corpus: "):
+        save_corpus(out, corpus)
+
+
 def test_corpus_line_uses_exact_keys():
     line = json.loads(CORPUS_PATH.read_text(encoding="utf-8").splitlines()[0])
     assert set(line) == {

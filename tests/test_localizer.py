@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, strategies as st
 
+from crashloc import localizer
 from crashloc.appmodel import ApiRef, load_app_model
 from crashloc.config import Config
 from crashloc.corpus import LabeledCrash, load_corpus
@@ -369,6 +372,36 @@ def test_locate_dispatches_category_c(corpus_module, trained, matcher):
     result = locate(report, None, corpus_module, trained)
     assert result.predicted_category is Category.C
     assert result.ranked[0][0] is SubCategory.MANIFEST
+
+
+def test_locate_builds_each_index_once_until_the_corpus_changes(
+    corpus_module, trained, matcher, geography, monkeypatch
+):
+    builds = Counter()
+    for name in ("index_b", "index_c"):
+        build = getattr(Pipeline, name).func
+
+        def counted(self, build=build, name=name):
+            builds[name] += 1
+            return build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Pipeline, name)
+        monkeypatch.setattr(Pipeline, name, prop)
+    monkeypatch.setattr(localizer, "_last_pipeline", None)
+    queries = [("b_geography_service.log", geography), ("c_manifest_permission.log", None),
+               ("c_hardware_camera.log", None), ("b_geography_service.log", geography),
+               ("c_resource_missing.log", None)]
+    reports = [(_crash(name, matcher), model) for name, model in queries]
+    corpus = list(corpus_module)
+    categories = [locate(report, model, corpus, trained, 5).predicted_category
+                  for report, model in reports]
+    assert categories == [Category.B, Category.C, Category.C, Category.B, Category.C]
+    assert builds == {"index_b": 1, "index_c": 1}
+    corpus.append(corpus[0])
+    for report, model in reports:
+        locate(report, model, corpus, trained, 5)
+    assert builds == {"index_b": 2, "index_c": 2}
 
 
 def test_result_serialization_shape(corpus_module, trained, matcher):
