@@ -17,12 +17,14 @@ overrides, recorded with their defining framework class and kept nearest
 superclass first (a stable sort of the listed order). Loading validates
 every reference and rejects dangling ones; the loaded model is immutable
 and all queries are pure. The call graph that ``links`` and ``invokers_of``
-walk is derived once per model, on the first such query.
+walk is derived once per model, on the first such query, and it keeps the
+methods reachable from each method within each searched depth as a bit
+mask, filled by one search the first time ``links`` asks for it.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -114,6 +116,7 @@ class CallGraph:
 
     Ids number the declared methods in declaration order. A developer
     callee is its declaration: loading resolves it by canonical string.
+    ``reach`` memoizes ``reachable``; it is not part of ``==``.
     """
 
     ids: dict  # canonical string -> id of the declared method
@@ -122,6 +125,7 @@ class CallGraph:
     succ: tuple  # id -> developer callee ids, in model order
     flows: dict  # param-flow callee (class, method) -> ((callee, class name), ...)
     invokers: dict  # callee (class, method) -> callers, in model order
+    reach: dict = field(default_factory=dict, compare=False, repr=False)  # (id, depth) -> mask
 
     @classmethod
     def build(cls, model: AppModel) -> "CallGraph":
@@ -152,6 +156,29 @@ class CallGraph:
             flows={key: tuple(v) for key, v in flows.items()},
             invokers={key: tuple(v.values()) for key, v in invokers.items()},
         )
+
+    def reachable(self, start: int, depth: int) -> int:
+        """Bit mask of the ids 1..``depth`` invocation hops from ``start``,
+        found by one breadth-first search per (start, depth)."""
+        mask = self.reach.get((start, depth))
+        if mask is None:
+            mask = 0
+            succ = self.succ
+            frontier = [start]
+            visited = {start}
+            for _ in range(depth):
+                next_frontier = []
+                for method in frontier:
+                    for callee in succ[method]:
+                        mask |= 1 << callee
+                        if callee not in visited:
+                            visited.add(callee)
+                            next_frontier.append(callee)
+                if not next_frontier:
+                    break
+                frontier = next_frontier
+            self.reach[(start, depth)] = mask
+        return mask
 
 
 def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") -> MethodRef:
@@ -312,7 +339,8 @@ def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5) -> bool:
     Any of: (1) ``am`` reaches ``s`` through invocation edges within
     ``depth`` hops, (2) both are declared in the same class, (3) an
     instance of ``s``'s declaring class flows into ``am`` as a parameter.
-    The search visits only the methods within ``depth`` hops of ``am``.
+    Reachability is read from the call graph's memo, so each (``am``,
+    ``depth``) pair is searched once per loaded model.
     """
     if s.class_name == am.class_name:
         return True
@@ -321,25 +349,12 @@ def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5) -> bool:
         if class_name == s.class_name and callee.same_method(am):
             return True
     start = graph.ids.get(am.canonical())
-    targets = {i for i in graph.by_name.get((s.class_name, s.method_name), ())
-               if graph.refs[i].same_method(s)}
-    if start is None or not targets:
+    if start is None:
         return False
-    succ = graph.succ
-    frontier = [start]
-    visited = {start}
-    for _ in range(depth):
-        next_frontier = []
-        for method in frontier:
-            for callee in succ[method]:
-                if callee in targets:
-                    return True
-                if callee not in visited:
-                    visited.add(callee)
-                    next_frontier.append(callee)
-        if not next_frontier:
-            break
-        frontier = next_frontier
+    mask = graph.reachable(start, depth)
+    for i in graph.by_name.get((s.class_name, s.method_name), ()):
+        if mask >> i & 1 and graph.refs[i].same_method(s):
+            return True
     return False
 
 

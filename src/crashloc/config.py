@@ -46,8 +46,11 @@ class Config:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not _is_finite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and not _is_finite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not (0.0 < self.chi2_ratio <= 1.0):
             raise ValueError(f"chi2_ratio must be in (0, 1], got {self.chi2_ratio}")
         if self.nb_smoothing <= 0:

@@ -217,6 +217,26 @@ def test_indexed_queries_match_reference_on_random_models(obj):
     _assert_agrees(app_model_from_json(obj))
 
 
+@settings(max_examples=60, deadline=None)
+@given(app_model_json(), st.data())
+def test_memoized_links_match_reference_in_any_query_order(obj, data):
+    # One loaded model answers every query, so later answers come from memo
+    # entries that earlier queries filled. Each drawn pair is asked at every
+    # depth in a drawn order and then in its reverse, so each depth is asked
+    # both before and after each shallower one.
+    model = app_model_from_json(obj)
+    # Declared methods are drawn more often: only they start or end a search.
+    declared = [ref for cdef in model.classes.values() for ref in cdef.active_methods]
+    ref = st.one_of(st.sampled_from(declared), st.sampled_from(declared),
+                    st.sampled_from(_query_refs(model)))
+    pairs = data.draw(st.lists(st.tuples(ref, ref), min_size=1, max_size=12))
+    for s, am in pairs:
+        order = data.draw(st.permutations(DEPTHS))
+        for depth in order + order[::-1]:
+            assert links(model, s, am, depth) == reference_links(model, s, am, depth), (
+                s, am, depth)
+
+
 @pytest.mark.parametrize("name", ["fengshui.json", "geography.json"])
 def test_indexed_queries_match_reference_on_fixtures(name):
     _assert_agrees(load_app_model(APP_MODELS / name))

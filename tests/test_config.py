@@ -32,6 +32,13 @@ def test_defaults():
         {"nb_smoothing": 10**400},
         {"framework_prefixes": ()},
         {"framework_prefixes": ("android.", "")},
+        {"kfold_k": 2.5},
+        {"seed": 1.5},
+        {"links_depth": 2.5},
+        {"links_depth": True},
+        {"kfold_k": 5.0},
+        {"seed": "0"},
+        {"seed": False},
     ],
 )
 def test_validation_rejects_bad_values(kwargs):

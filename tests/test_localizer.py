@@ -7,8 +7,9 @@ from functools import cached_property
 import pytest
 from hypothesis import given, strategies as st
 
+import crashloc
 from crashloc import localizer
-from crashloc.appmodel import ApiRef, load_app_model
+from crashloc.appmodel import ApiRef, CallGraph, app_model_from_json, load_app_model
 from crashloc.config import Config
 from crashloc.corpus import LabeledCrash, load_corpus
 from crashloc.errors import EmptyPool, LocateError, NoDeveloperFrame
@@ -402,6 +403,96 @@ def test_locate_builds_each_index_once_until_the_corpus_changes(
     for report, model in reports:
         locate(report, model, corpus, trained, 5)
     assert builds == {"index_b": 2, "index_c": 2}
+
+
+_PKG = "com.yamlearning.geographylearning"
+_BIND = ("android.content.ContextWrapper#bindService"
+         "(android.content.Intent,android.content.ServiceConnection,int)")
+
+
+def _deep_chain_model_json() -> dict:
+    """Three bindService invokers for the MainActivity frame of
+    b_geography_service.log: ``Sync#bind`` one hop from ``onDestroy``,
+    ``Binder#step4`` four hops from both active methods, and ``onCreate``
+    itself, which links to both by sharing their class."""
+    chain = [f"{_PKG}.Binder#step{i}()" for i in range(1, 5)]
+    main = f"{_PKG}.MainActivity"
+    return {
+        "classes": [
+            {"name": main, "superclasses": ["android.app.Activity"],
+             "active_methods": [f"{main}#onCreate(android.os.Bundle)", f"{main}#onDestroy()"],
+             "non_overridden_callbacks": []},
+            {"name": f"{_PKG}.Binder", "superclasses": ["java.lang.Object"],
+             "active_methods": chain, "non_overridden_callbacks": []},
+            {"name": f"{_PKG}.Sync", "superclasses": ["java.lang.Object"],
+             "active_methods": [f"{_PKG}.Sync#bind()"], "non_overridden_callbacks": []},
+        ],
+        "invocations": [
+            {"caller": f"{main}#onCreate(android.os.Bundle)", "callees": [chain[0]]},
+            {"caller": f"{main}#onDestroy()", "callees": [f"{_PKG}.Sync#bind()", chain[0]]},
+            {"caller": chain[0], "callees": [chain[1]]},
+            {"caller": chain[1], "callees": [chain[2]]},
+            {"caller": chain[2], "callees": [chain[3]]},
+            {"caller": f"{_PKG}.Sync#bind()", "callees": [_BIND]},
+            {"caller": chain[3], "callees": [_BIND]},
+            {"caller": f"{main}#onCreate(android.os.Bundle)", "callees": [_BIND]},
+        ],
+        "param_flows": [],
+        "apis": [{"class_name": "android.content.ContextWrapper",
+                  "method_name": "bindService", "kind": "call-in"}],
+    }
+
+
+def _ranked(result) -> list:
+    return [(location_label(loc), score) for loc, score in result.ranked]
+
+
+def test_category_b_ranking_follows_depth_on_one_loaded_model(corpus_module, trained, matcher):
+    model = app_model_from_json(_deep_chain_model_json())
+    report = _crash("b_geography_service.log", matcher)
+    shallow = [(f"{_PKG}.MainActivity#onCreate(android.os.Bundle)", 2.0),
+               (f"{_PKG}.Sync#bind()", 1.0)]
+    deep = [(f"{_PKG}.Binder#step4()", 2.0),
+            (f"{_PKG}.MainActivity#onCreate(android.os.Bundle)", 2.0),
+            (f"{_PKG}.Sync#bind()", 1.0)]
+    for depth, expected in ((5, deep), (1, shallow), (5, deep), (3, shallow), (4, deep)):
+        result = crashloc.locate(report, model, corpus_module, trained, depth)
+        assert result.predicted_category is Category.B
+        assert _ranked(result) == expected, depth
+
+
+def test_locate_searches_each_method_once_per_depth(corpus_module, trained, matcher,
+                                                    monkeypatch):
+    requests = Counter()
+    reachable = CallGraph.reachable
+
+    def counted(self, start, depth):
+        requests[start, depth] += 1
+        return reachable(self, start, depth)
+
+    monkeypatch.setattr(CallGraph, "reachable", counted)
+    obj = _deep_chain_model_json()
+    model = app_model_from_json(obj)
+    report = _crash("b_geography_service.log", matcher)
+    assert "call_graph" not in vars(model)
+    assert model.call_graph.reach == {}
+    graph = model.call_graph
+    main = model.classes[f"{_PKG}.MainActivity"]
+    for depth in (5, 1):
+        expected = {(graph.ids[am.canonical()], depth) for am in main.active_methods}
+        before = dict(graph.reach)
+        crashloc.locate(report, model, corpus_module, trained, depth)
+        assert set(graph.reach) - set(before) == expected
+        filled = dict(graph.reach)
+        for _ in range(2):
+            crashloc.locate(report, model, corpus_module, trained, depth)
+            assert graph.reach == filled
+    # Two invokers outside the frame class, each linked to both active
+    # methods, on each of three passes per depth.
+    assert set(requests) == set(graph.reach)
+    assert all(n == 6 for n in requests.values())
+    assert model.call_graph is graph
+    assert model == app_model_from_json(obj)
 
 
 def test_result_serialization_shape(corpus_module, trained, matcher):
