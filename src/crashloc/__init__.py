@@ -6,19 +6,12 @@ suspicious locations with a category-specific algorithm.
 """
 from .appmodel import ApiRef, AppModel, MethodRef, load_app_model
 from .config import Config, DEFAULT_FRAMEWORK_PREFIXES, load_config
-from .corpus import LabeledCrash, load_corpus, save_corpus
+from .corpus import Category, LabeledCrash, SubCategory, load_corpus, save_corpus
 from .errors import CrashLocError
 from .evaluation import EvalReport, bucketize, evaluate, kfold_split, mrr, recall_at_k
 from .features import SelectedVocabulary, Vocabulary, build_vocabulary, chi_square_select, tokenize, vectorize
-from .localizer import (
-    LocalizationResult,
-    SubCategory,
-    locate,
-    locate_category_a,
-    locate_category_b,
-    locate_category_c,
-)
-from .nb import Category, NBModel, predict, train
+from .localizer import LocalizationResult, locate, locate_category_a, locate_category_b, locate_category_c
+from .nb import NBModel, predict, train
 from .similarity import crash_similarity, edit_distance, most_similar
 from .trace import CrashReport, FrameworkMatcher, StackFrame, parse_and_split
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DanglingRef, SchemaError, expect, expect_items, read_json
+from .errors import DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text
 
 API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
@@ -202,10 +202,12 @@ def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") ->
 
 def load_app_model(path: str | Path) -> AppModel:
     """Load and fully validate an app-model JSON file."""
-    obj = read_json(path, "app model")
-    if not isinstance(obj, dict):
-        raise SchemaError("app model must be a JSON object", "/")
-    return app_model_from_json(obj)
+    text = read_text(path, "app model")
+    with naming("app model", path):
+        obj = parse_json(text, "app model")
+        if not isinstance(obj, dict):
+            raise SchemaError("app model must be a JSON object", "/")
+        return app_model_from_json(obj)
 
 
 def app_model_from_json(obj: dict) -> AppModel:

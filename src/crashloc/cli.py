@@ -30,14 +30,14 @@ from pathlib import Path
 
 from .appmodel import app_model_from_json, load_app_model
 from .config import Config, config_from_json_obj, load_config
-from .corpus import load_corpus
+from .corpus import CATEGORIES, load_corpus
 from .errors import (
-    CrashLocError, LocateError, SchemaError, expect, parse_json, read_json, read_text, write_text,
+    CrashLocError, LocateError, SchemaError, expect, naming, parse_json, read_text, write_text,
 )
 from .evaluation import bucketize, evaluate, fit, render_bucket_summary, render_text
 from .features import SelectedVocabulary
 from .localizer import locate, location_label
-from .nb import CATEGORIES, NBModel
+from .nb import NBModel
 from .trace import FrameworkMatcher, parse_and_split
 
 BUNDLE_KIND = "crashloc-model-bundle"
@@ -131,12 +131,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    nb_model, bundle_config = _bundle_from_obj(read_json(args.model, "model bundle"))
+    text = read_text(args.model, "model bundle")
+    with naming("model bundle", args.model):
+        nb_model, bundle_config = _bundle_from_obj(parse_json(text, "model bundle"))
     config = _resolve_config(args, bundle_config)
     matcher = FrameworkMatcher(config.framework_prefixes)
     corpus = load_corpus(args.corpus, matcher)
     app_model = load_app_model(args.app_model) if args.app_model else None
-    report = parse_and_split(read_text(args.crash_log, "crash log"), matcher)
+    text = read_text(args.crash_log, "crash log")
+    with naming("crash log", args.crash_log):
+        report = parse_and_split(text, matcher)
     result = locate(report, app_model, corpus, nb_model, config.links_depth)
     if args.pretty:
         print(f"predicted category: {result.predicted_category.value}")
@@ -176,7 +180,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         except SchemaError:
             looks_jsonl = False
         if not looks_jsonl:
-            summary = _inspect_json_object(parse_json(text, str(path)))
+            obj = parse_json(text, str(path))
+            with naming("file", path):
+                summary = _inspect_json_object(obj)
     if summary is None:
         config = _resolve_config(args)
         corpus = load_corpus(path, FrameworkMatcher(config.framework_prefixes))

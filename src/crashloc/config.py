@@ -5,7 +5,9 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import NUMBER, SchemaError, expect, expect_between, expect_items, read_json
+from .errors import (
+    NUMBER, SchemaError, expect, expect_between, expect_items, naming, parse_json, read_text,
+)
 
 # Package prefixes treated as Android framework code when splitting traces.
 DEFAULT_FRAMEWORK_PREFIXES = (
@@ -105,4 +107,6 @@ def config_from_json_obj(obj, pointer: str = "") -> Config:
 
 def load_config(path: str | Path) -> Config:
     """Read a JSON config file; unknown keys are rejected."""
-    return config_from_json_obj(read_json(path, "config file"))
+    text = read_text(path, "config file")
+    with naming("config file", path):
+        return config_from_json_obj(parse_json(text, "config file"))

@@ -1,4 +1,8 @@
-"""Labeled crash corpus: JSON-lines loading, validation, and serialization.
+"""Labeled crash corpus: label taxonomy, JSON-lines loading, validation, serialization.
+
+A ``Category`` is where the paper's taxonomy puts a fault: A in the stack
+trace, B in the code but outside the trace, C outside the code, at one
+``SubCategory``.
 
 Each line holds one labeled crash:
 
@@ -16,13 +20,34 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .appmodel import ApiRef, parse_method_ref
-from .errors import CrashLocError, SchemaError, expect, parse_json, read_text, write_text
-from .localizer import SubCategory
-from .nb import Category
+from .errors import CrashLocError, SchemaError, expect, naming, parse_json, read_text, write_text
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
+
+
+class Category(str, Enum):
+    A = "A"
+    B = "B"
+    C = "C"
+
+
+CATEGORIES = (Category.A, Category.B, Category.C)
+
+
+class SubCategory(str, Enum):
+    """Fault locations outside the code."""
+
+    MANIFEST = "Manifest"
+    HARDWARE = "Hardware"
+    ASSET = "Asset"
+    RESOURCE = "Resource"
+    FIRMWARE = "Firmware"
+
+
+SUB_CATEGORIES = tuple(SubCategory)
 
 _SUB_CATEGORY_NAMES = frozenset(sub.value for sub in SubCategory)
 
@@ -117,14 +142,15 @@ def load_corpus(path: str | Path, matcher: FrameworkMatcher) -> list[LabeledCras
     path = Path(path)
     text = read_text(path, "corpus")
     crashes = []
-    for li, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        pointer = f"/{li}"
-        obj = parse_json(line, f"corpus line {li + 1}", pointer)
-        if not isinstance(obj, dict):
-            raise SchemaError(f"corpus line {li + 1} must be a JSON object", pointer)
-        crashes.append(labeled_crash_from_json(obj, matcher, path.parent, pointer))
+    with naming("corpus", path):
+        for li, line in enumerate(text.splitlines()):
+            if not line.strip():
+                continue
+            pointer = f"/{li}"
+            obj = parse_json(line, f"corpus line {li + 1}", pointer)
+            if not isinstance(obj, dict):
+                raise SchemaError(f"corpus line {li + 1} must be a JSON object", pointer)
+            crashes.append(labeled_crash_from_json(obj, matcher, path.parent, pointer))
     return crashes
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -96,9 +97,16 @@ def write_text(path: str | Path, text: str, what: str) -> None:
         raise SchemaError(f"cannot write {what}: {exc}") from exc
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON value in the file at ``path``; SchemaError if unreadable or malformed."""
-    return parse_json(read_text(path, what), what)
+@contextmanager
+def naming(what: str, path: str | Path):
+    """Ends the message of a CrashLocError raised in the block with
+    `` in <what> '<path>'``, so that it says which input is bad; its type,
+    pointer and phase stay. For the checks that follow a successful read."""
+    try:
+        yield
+    except CrashLocError as exc:
+        exc.args = (f"{exc} in {what} {str(path)!r}",)
+        raise
 
 
 # Shape checks shared by the artifact loaders. ``bool`` is a subclass of

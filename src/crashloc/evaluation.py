@@ -25,11 +25,10 @@ from typing import Callable, Sequence
 
 from .appmodel import load_app_model
 from .config import Config
-from .corpus import LabeledCrash
+from .corpus import CATEGORIES, Category, LabeledCrash
 from .errors import CorpusTooSmall, CrashLocError, EmptySet
 from .features import build_vocabulary, chi_square_select, vectorize
 from .localizer import Pipeline
-from .nb import CATEGORIES, Category
 from .nb import train as train_nb
 from .similarity import group_by_subtrace
 

@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from .corpus import LabeledCrash
 from .errors import NUMBER, EmptyCorpus, SchemaError, expect, expect_between, expect_items
 from .trace import CrashReport
-
-if TYPE_CHECKING:
-    from .corpus import LabeledCrash
 
 # A feature vector is a plain list of 0/1 ints, aligned with the selected words.
 FeatureVector = list
@@ -104,7 +102,7 @@ class SelectedVocabulary:
                    ratio=ratio, scores=scores)
 
 
-def build_vocabulary(corpus: Sequence["LabeledCrash"]) -> Vocabulary:
+def build_vocabulary(corpus: Sequence[LabeledCrash]) -> Vocabulary:
     """Union of corpus tokens, ordered by first occurrence."""
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
@@ -136,7 +134,7 @@ def _rank_and_cut(words: Sequence[str], scores: Sequence[float], ratio: float) -
 
 
 def chi_square_select(
-    vocab: Vocabulary, corpus: Sequence["LabeledCrash"], ratio: float
+    vocab: Vocabulary, corpus: Sequence[LabeledCrash], ratio: float
 ) -> SelectedVocabulary:
     """Keep the ceil(ratio * |vocab|) words with the highest chi2 score.
 

@@ -7,15 +7,15 @@ the active methods of each stack-frame class, weighted by 1/d where d is
 the frame's 1-based distance from the crash method; for callback APIs the
 matching non-overridden callbacks of each stack-frame class are appended
 in frame order. Category C averages crash similarity per sub-category.
+The labels are ``corpus.Category`` and ``corpus.SubCategory``.
 ``Pipeline`` pairs a trained categorizer with these locators.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 from .appmodel import (
     API_KIND_CALL_IN,
@@ -27,29 +27,14 @@ from .appmodel import (
     links,
     parse_method_ref,
 )
+from .corpus import SUB_CATEGORIES, Category, LabeledCrash, SubCategory
 from .errors import CrashLocError, EmptyPool, LocateError
-from .nb import Category, NBModel, predict
+from .nb import NBModel, predict
 from .features import vectorize
 from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
 from .trace import CrashReport
 
-if TYPE_CHECKING:
-    from .corpus import LabeledCrash
-
 logger = logging.getLogger(__name__)
-
-
-class SubCategory(str, Enum):
-    """Fault locations outside the code."""
-
-    MANIFEST = "Manifest"
-    HARDWARE = "Hardware"
-    ASSET = "Asset"
-    RESOURCE = "Resource"
-    FIRMWARE = "Firmware"
-
-
-SUB_CATEGORIES = tuple(SubCategory)
 
 # A ranked location is a developer method (Categories A and B) or a
 # sub-category (Category C).
@@ -234,7 +219,7 @@ class Pipeline:
     indexed by sub-trace on its first use."""
 
     nb: NBModel
-    corpus: tuple["LabeledCrash", ...]
+    corpus: tuple[LabeledCrash, ...]
     links_depth: int = 5
 
     @cached_property
@@ -271,7 +256,7 @@ _last_pipeline: Pipeline | None = None
 def locate(
     report: CrashReport,
     model: AppModel | None,
-    corpus: Sequence["LabeledCrash"],
+    corpus: Sequence[LabeledCrash],
     nb: NBModel,
     depth: int = 5,
 ) -> LocalizationResult:

@@ -1,6 +1,6 @@
 """Phase-1 categorizer: Bernoulli Naive Bayes over binary feature vectors.
 
-Categories follow the fault-location taxonomy: A (in the stack trace),
+Categories are the labels of ``corpus.Category``: A (in the stack trace),
 B (outside the trace but in the code), C (outside the code). Training uses
 additive smoothing on both priors and conditionals; prediction runs fully
 in log space and breaks ties in favor of A, then B, then C.
@@ -9,22 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
+from .corpus import CATEGORIES, Category
 from .errors import NUMBER, DimensionMismatch, EmptyCorpus, expect, expect_between, expect_items
 from .features import FeatureVector, SelectedVocabulary
-
-
-class Category(str, Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-
-
-CATEGORIES = (Category.A, Category.B, Category.C)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
+from .corpus import LabeledCrash
 from .errors import EmptyPool
 from .trace import CrashReport
-
-if TYPE_CHECKING:
-    from .corpus import LabeledCrash
 
 
 def frame_seq(report: CrashReport) -> tuple[str, ...]:
@@ -25,7 +23,7 @@ def frame_seq(report: CrashReport) -> tuple[str, ...]:
     return report.subtrace_key
 
 
-def group_by_subtrace(crashes: Iterable["LabeledCrash"]) -> dict[tuple[str, ...], list[int]]:
+def group_by_subtrace(crashes: Iterable[LabeledCrash]) -> dict[tuple[str, ...], list[int]]:
     """Positions of the crashes per distinct framework sub-trace (the paper's
     bucketing); keys and positions in first-occurrence order."""
     groups: dict[tuple[str, ...], list[int]] = {}
@@ -50,7 +48,7 @@ class SubtraceIndex:
     to the ids of the keys holding it, ascending.
     """
 
-    pool: tuple["LabeledCrash", ...]
+    pool: tuple[LabeledCrash, ...]
     first: dict[tuple[str, ...], int]
     key_ids: tuple[int, ...]
     bags: tuple[Counter, ...]
@@ -91,7 +89,7 @@ class SubtraceIndex:
 
 
 # What the locators accept as a pool: the crashes, or their index.
-Pool = Union[Sequence["LabeledCrash"], SubtraceIndex]
+Pool = Union[Sequence[LabeledCrash], SubtraceIndex]
 
 
 def edit_distance(a: Sequence, b: Sequence) -> int:
@@ -153,7 +151,7 @@ def crash_similarity(c1: CrashReport, c2: CrashReport) -> float:
     return seq_similarity(frame_seq(c1), frame_seq(c2))
 
 
-def most_similar(query: CrashReport, pool: Pool) -> tuple["LabeledCrash", float]:
+def most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
     """Pool element with the highest similarity; ties keep the earliest.
 
     Each distinct sub-trace is scored once, through its first crash; as

@@ -129,18 +129,19 @@ def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
     after the first ``Caused by:`` are discarded.
     """
     lines = text.splitlines()
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
+    for start, first in enumerate(lines):
+        if first.strip():
+            break
+    else:
         raise MissingException("empty crash log")
 
-    header = _HEADER_RE.match(lines[0].strip())
+    header = _HEADER_RE.match(first.strip())
     if header is None:
-        raise MissingException(f"no dotted exception type on first line: {lines[0]!r}")
+        raise MissingException(f"no dotted exception type on first line: {first!r}")
 
     frames: list[StackFrame] = []
     developer: list[StackFrame] = []
-    for raw in lines[1:]:
+    for raw in lines[start + 1:]:
         if _CAUSED_BY_RE.match(raw):
             break
         m = _FRAME_RE.match(raw)

@@ -4,7 +4,9 @@ the fixture corpus either loads or raises an ArtifactError that points into
 the input; a config or bundle that loads holds only finite numbers. Text
 that the JSON parser cannot take (nesting too deep for it, an integer too
 long to convert) makes every command exit 2 with a pointer, not a
-traceback, and so does a file that is not UTF-8, naming that file."""
+traceback, and so does a file that is not UTF-8, naming that file. A file
+that is read but holds the wrong content is named at the end of the
+message, by its kind and path."""
 from __future__ import annotations
 
 import copy
@@ -14,6 +16,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crashloc import cli
 from crashloc.appmodel import app_model_from_json
 from crashloc.cli import _bundle_from_obj, _bundle_to_obj
 from crashloc.config import Config, config_from_json_obj
@@ -203,3 +206,35 @@ def test_invalid_utf8_exits_2_naming_the_file(tmp_path, case):
     assert error["error"] == "SchemaError"
     assert error["message"].startswith(f"cannot read {what}: ")
     assert str(path) in error["message"]
+
+
+_BAD_CORPUS_LINE = json.dumps({**CORPUS_LINES[0], "category": "Z"})
+
+# case -> (file text, command line with {path} for the file, message before the naming, pointer)
+WRONG_CONTENT = {
+    "app-model": ("{}", _locate_args(app_model="{path}"), "missing key 'classes' (at /)", "/"),
+    "model-bundle": ("{}", _locate_args(bundle="{path}"),
+                     "missing key 'selected_vocab' (at /)", "/"),
+    "config": ('{"seed": "x"}', ["evaluate", "--corpus", str(CORPUS_PATH)],
+               "key 'seed' must be int, got str (at /seed)", "/seed"),
+    "corpus": (_BAD_CORPUS_LINE, ["evaluate", "--corpus", "{path}"],
+               "category must be A, B or C, got 'Z' (at /0/category)", "/0/category"),
+    "crash-log": ("{}", ["locate", "{path}", "--model", "{bundle}", "--corpus", str(CORPUS_PATH)],
+                  "no dotted exception type on first line: '{}'", None),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_CONTENT)
+def test_wrong_content_exits_2_naming_the_input(tmp_path, monkeypatch, capsys, case):
+    text, args, message, pointer = WRONG_CONTENT[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(BUNDLE_OBJ), encoding="utf-8")
+    if case == "config":
+        monkeypatch.setenv("CRASHLOC_CONFIG", str(path))
+    assert cli.main([arg.format(path=path, bundle=bundle) for arg in args]) == 2
+    error = json.loads(capsys.readouterr().err)
+    what = case.replace("-", " ").replace("config", "config file")
+    assert error["message"] == f"{message} in {what} {str(path)!r}"
+    assert error.get("pointer") == pointer

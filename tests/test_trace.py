@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +53,26 @@ def test_parse_undotted_first_line_is_missing_exception(matcher):
         parse_and_split("Exception: boom\n\tat a.B.m(B.java:1)\n", matcher)
     with pytest.raises(MissingException):
         parse_and_split("", matcher)
+
+
+def test_leading_blank_lines_parse_in_linear_time(matcher):
+    # Skipping blank lines in time quadratic in their number takes tens of seconds for this many.
+    blanks = " \n\t\n" * 200_000
+    started = time.perf_counter()
+    report = parse_and_split(blanks + LISTING1, matcher)
+    assert time.perf_counter() - started < 5.0
+    assert report == parse_and_split(LISTING1, matcher)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n  \n", "empty crash log"),
+    ("\n\n  Exception: boom\n\tat a.B.m(B.java:1)\n",
+     "no dotted exception type on first line: '  Exception: boom'"),
+])
+def test_first_line_is_the_first_non_blank_line(matcher, text, message):
+    with pytest.raises(MissingException) as info:
+        parse_and_split(text, matcher)
+    assert str(info.value) == message
 
 
 def test_caused_by_keeps_outer_trace_only(matcher):
