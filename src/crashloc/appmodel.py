@@ -28,11 +28,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text
+from .errors import (
+    DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text, within,
+)
 
 API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
 API_KINDS = (API_KIND_CALL_IN, API_KIND_CALLBACK)
+
+# How many invocation hops ``links`` follows unless told otherwise.
+DEFAULT_LINKS_DEPTH = 5
 
 _METHOD_REF_RE = re.compile(
     r"^(?P<cls>[^#()]+)#(?P<method>[^#()]+)(?:\((?P<sig>[^()]*)\))?$"
@@ -69,7 +74,7 @@ class ApiRef:
 
     def __post_init__(self):
         if self.kind not in API_KINDS:
-            raise SchemaError(f"api kind must be one of {API_KINDS}, got {self.kind!r}")
+            raise SchemaError(f"api kind must be one of {API_KINDS}, got {self.kind!r}", "/kind")
 
     def to_json_obj(self) -> dict:
         return {
@@ -80,13 +85,9 @@ class ApiRef:
 
     @classmethod
     def from_json_obj(cls, obj: dict, pointer: str = "") -> "ApiRef":
-        class_name = expect(obj, "class_name", str, pointer)
-        method_name = expect(obj, "method_name", str, pointer)
-        kind = expect(obj, "kind", str, pointer)
-        if kind not in API_KINDS:
-            raise SchemaError(f"api kind must be one of {API_KINDS}, got {kind!r}",
-                              f"{pointer}/kind")
-        return cls(class_name, method_name, kind)
+        values = [expect(obj, key, str, pointer) for key in ("class_name", "method_name", "kind")]
+        with within(pointer):
+            return cls(*values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,18 +205,14 @@ def load_app_model(path: str | Path) -> AppModel:
     """Load and fully validate an app-model JSON file."""
     text = read_text(path, "app model")
     with naming("app model", path):
-        obj = parse_json(text, "app model")
-        if not isinstance(obj, dict):
-            raise SchemaError("app model must be a JSON object", "/")
-        return app_model_from_json(obj)
+        return app_model_from_json(parse_json(text, "app model"))
 
 
 def app_model_from_json(obj: dict) -> AppModel:
     classes: dict = {}
+    declared: set = set()  # canonical strings of the active methods
     for ci, centry in enumerate(expect(obj, "classes", list, "")):
         ptr = f"/classes/{ci}"
-        if not isinstance(centry, dict):
-            raise SchemaError("class entry must be an object", ptr)
         name = expect(centry, "name", str, ptr)
         if name in classes:
             raise SchemaError(f"class {name!r} declared twice", f"{ptr}/name")
@@ -225,12 +222,14 @@ def app_model_from_json(obj: dict) -> AppModel:
         active_texts = expect_items(expect(centry, "active_methods", list, ptr), str,
                                     f"{ptr}/active_methods")
         for mi, mtext in enumerate(active_texts):
-            ref = parse_method_ref(mtext, True, f"{ptr}/active_methods/{mi}")
+            mptr = f"{ptr}/active_methods/{mi}"
+            ref = parse_method_ref(mtext, True, mptr)
             if ref.class_name != name:
-                raise SchemaError(
-                    f"active method {ref.canonical()!r} is not declared in {name!r}",
-                    f"{ptr}/active_methods/{mi}",
-                )
+                raise SchemaError(f"active method {ref.canonical()!r} is not declared in {name!r}",
+                                  mptr)
+            if ref.canonical() in declared:
+                raise SchemaError(f"method {ref.canonical()!r} declared twice", mptr)
+            declared.add(ref.canonical())
             active.append(ref)
         # A superclass listed twice ranks at its last position.
         chain_pos = {cls: i for i, cls in enumerate(supers)}
@@ -261,20 +260,17 @@ def app_model_from_json(obj: dict) -> AppModel:
                 sorted(ncs, key=lambda nc: chain_pos[nc.class_name])),
         )
 
-    declared = {}
-    for ci, cdef in enumerate(classes.values()):
-        for mi, ref in enumerate(cdef.active_methods):
-            key = ref.canonical()
-            if key in declared:
-                raise SchemaError(f"method {key!r} declared twice",
-                                  f"/classes/{ci}/active_methods/{mi}")
-            declared[key] = ref
-
     apis = tuple(
         ApiRef.from_json_obj(a, f"/apis/{ai}")
         for ai, a in enumerate(expect(obj, "apis", list, ""))
     )
     api_names = {(a.class_name, a.method_name) for a in apis}
+
+    def declared_method(text: str, what: str, pointer: str) -> MethodRef:
+        ref = parse_method_ref(text, True, pointer)
+        if ref.canonical() not in declared:
+            raise DanglingRef(f"{what} {ref.canonical()!r} is not a declared method", pointer)
+        return ref
 
     def resolve_callee(ref: MethodRef, pointer: str) -> MethodRef:
         if ref.canonical() in declared:
@@ -290,12 +286,7 @@ def app_model_from_json(obj: dict) -> AppModel:
     invocations = []
     for ii, ientry in enumerate(expect(obj, "invocations", list, "")):
         ptr = f"/invocations/{ii}"
-        if not isinstance(ientry, dict):
-            raise SchemaError("invocation entry must be an object", ptr)
-        caller = parse_method_ref(expect(ientry, "caller", str, ptr), True, f"{ptr}/caller")
-        if caller.canonical() not in declared:
-            raise DanglingRef(f"caller {caller.canonical()!r} is not a declared method",
-                              f"{ptr}/caller")
+        caller = declared_method(expect(ientry, "caller", str, ptr), "caller", f"{ptr}/caller")
         callee_texts = expect_items(expect(ientry, "callees", list, ptr), str, f"{ptr}/callees")
         callees = tuple(
             resolve_callee(parse_method_ref(c, True, f"{ptr}/callees/{ci}"),
@@ -307,12 +298,8 @@ def app_model_from_json(obj: dict) -> AppModel:
     param_flows = []
     for pi, pentry in enumerate(expect(obj, "param_flows", list, "")):
         ptr = f"/param_flows/{pi}"
-        if not isinstance(pentry, dict):
-            raise SchemaError("param flow entry must be an object", ptr)
-        callee = parse_method_ref(expect(pentry, "callee", str, ptr), True, f"{ptr}/callee")
-        if callee.canonical() not in declared:
-            raise DanglingRef(f"param flow callee {callee.canonical()!r} is not declared",
-                              f"{ptr}/callee")
+        callee = declared_method(expect(pentry, "callee", str, ptr), "param flow callee",
+                                 f"{ptr}/callee")
         position = expect(pentry, "position", int, ptr)
         if position < 0:
             raise SchemaError("position must be >= 0", f"{ptr}/position")
@@ -335,7 +322,7 @@ def invokers_of(model: AppModel, api: ApiRef) -> list[MethodRef]:
     return list(model.call_graph.invokers.get((api.class_name, api.method_name), ()))
 
 
-def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5) -> bool:
+def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = DEFAULT_LINKS_DEPTH) -> bool:
     """True when the two developer methods are plausibly related.
 
     Any of: (1) ``am`` reaches ``s`` through invocation edges within

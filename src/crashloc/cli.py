@@ -114,7 +114,8 @@ def _bundle_from_obj(obj) -> tuple[NBModel, Config]:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes))
-    nb_model = fit(corpus, config).nb
+    with naming("corpus", args.corpus):
+        nb_model = fit(corpus, config).nb
     selected = nb_model.selected_vocab
     out_path = Path(args.model)
     write_text(out_path, json.dumps(_bundle_to_obj(nb_model, config), indent=2) + "\n",
@@ -159,7 +160,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes))
     protocol = "perfect_categorization" if args.perfect_categorization else "end_to_end"
-    report = evaluate(corpus, config, fallback_model=args.app_model, protocol=protocol)
+    with naming("corpus", args.corpus):  # app-model errors are recorded, not raised
+        report = evaluate(corpus, config, fallback_model=args.app_model, protocol=protocol)
     if args.pretty:
         print(render_text(report) + render_bucket_summary(corpus, report), end="")
     else:

@@ -5,9 +5,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import (
-    NUMBER, SchemaError, expect, expect_between, expect_items, naming, parse_json, read_text,
-)
+from .appmodel import DEFAULT_LINKS_DEPTH
+from .errors import NUMBER, SchemaError, fits, naming, parse_json, read_text, within
 
 # Package prefixes treated as Android framework code when splitting traces.
 DEFAULT_FRAMEWORK_PREFIXES = (
@@ -29,6 +28,23 @@ def _is_finite(number) -> bool:
         return False
 
 
+class ConfigError(SchemaError, ValueError):
+    """A Config value breaks its field's rule; the pointer names the field or prefix item."""
+
+
+def checked_prefixes(prefixes) -> tuple[str, ...]:
+    """``prefixes`` as a tuple if it is a non-empty list or tuple of non-empty
+    strings, else ConfigError; Config and FrameworkMatcher apply this rule."""
+    if not isinstance(prefixes, (list, tuple)) or not prefixes:
+        raise ConfigError("framework_prefixes must be a list holding at least one prefix",
+                          "/framework_prefixes")
+    for i, prefix in enumerate(prefixes):
+        if not isinstance(prefix, str) or not prefix:
+            raise ConfigError("a framework prefix must be a non-empty string",
+                              f"/framework_prefixes/{i}")
+    return tuple(prefixes)
+
+
 @dataclass(frozen=True)
 class Config:
     """Tunables for the whole pipeline.
@@ -36,44 +52,37 @@ class Config:
     ``chi2_ratio`` is the fraction of vocabulary words kept after feature
     selection, ``nb_smoothing`` the additive smoothing of the categorizer,
     ``links_depth`` the call-chain depth for the linkage check, ``kfold_k``
-    and ``seed`` the cross-validation split parameters.
+    and ``seed`` the cross-validation split parameters. Building one checks
+    every field; ``framework_prefixes`` may be a list and is kept as a tuple.
     """
 
     framework_prefixes: tuple[str, ...] = DEFAULT_FRAMEWORK_PREFIXES
     chi2_ratio: float = 0.5
     nb_smoothing: float = 1.0
-    links_depth: int = 5
+    links_depth: int = DEFAULT_LINKS_DEPTH
     kfold_k: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ValueError(f"{f.name} must be an int, got {value!r}")
+        object.__setattr__(self, "framework_prefixes", checked_prefixes(self.framework_prefixes))
+        for f in fields(self)[1:]:  # the scalars; annotations are strings in this module
+            value, kinds = getattr(self, f.name), NUMBER if f.type == "float" else (int,)
+            if not fits(value, kinds):
+                names = " or ".join(k.__name__ for k in kinds)
+                raise ConfigError(f"key {f.name!r} must be {names}, got {type(value).__name__}",
+                                  f"/{f.name}")
             if f.type == "float" and not _is_finite(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if not (0.0 < self.chi2_ratio <= 1.0):
-            raise ValueError(f"chi2_ratio must be in (0, 1], got {self.chi2_ratio}")
-        if self.nb_smoothing <= 0:
-            raise ValueError(f"nb_smoothing must be > 0, got {self.nb_smoothing}")
-        if self.links_depth < 1:
-            raise ValueError(f"links_depth must be >= 1, got {self.links_depth}")
-        if self.kfold_k < 2:
-            raise ValueError(f"kfold_k must be >= 2, got {self.kfold_k}")
-        if not self.framework_prefixes:
-            raise ValueError("framework_prefixes must hold at least one prefix")
-        if "" in self.framework_prefixes:
-            raise ValueError("a framework prefix must not be empty")
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}", f"/{f.name}")
+        for name, holds, rule in (("chi2_ratio", 0.0 < self.chi2_ratio <= 1.0, "in (0, 1]"),
+                                  ("nb_smoothing", self.nb_smoothing > 0, "> 0"),
+                                  ("links_depth", self.links_depth >= 1, ">= 1"),
+                                  ("kfold_k", self.kfold_k >= 2, ">= 2")):
+            if not holds:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}", f"/{name}")
 
     def to_json_obj(self) -> dict:
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
         return obj | {"framework_prefixes": list(self.framework_prefixes)}
-
-
-# JSON value kinds accepted per scalar Config field, keyed by its annotation
-# (a string, as this module postpones the evaluation of annotations).
-_FIELD_KINDS = {"int": int, "float": NUMBER}
 
 
 def config_from_json_obj(obj, pointer: str = "") -> Config:
@@ -84,25 +93,8 @@ def config_from_json_obj(obj, pointer: str = "") -> Config:
     for key in obj:
         if key not in known:
             raise SchemaError(f"unknown config key {key!r}", f"{pointer}/{key}")
-    for f in fields(Config):
-        if f.name in obj and f.type in _FIELD_KINDS:
-            expect(obj, f.name, _FIELD_KINDS[f.type], pointer)
-            if f.type == "float":
-                expect_between(obj, f.name, pointer)
-    values = dict(obj)
-    if "framework_prefixes" in obj:
-        where = f"{pointer}/framework_prefixes"
-        prefixes = expect_items(obj["framework_prefixes"], str, where)
-        if not prefixes:
-            raise SchemaError("framework_prefixes must hold at least one prefix", where)
-        if "" in prefixes:
-            raise SchemaError("a framework prefix must not be empty",
-                              f"{where}/{prefixes.index('')}")
-        values["framework_prefixes"] = tuple(prefixes)
-    try:
-        return Config(**values)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad config value: {exc}", pointer or "/") from exc
+    with within(pointer):
+        return Config(**obj)
 
 
 def load_config(path: str | Path) -> Config:

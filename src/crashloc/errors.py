@@ -40,7 +40,7 @@ class ArtifactError(CrashLocError):
     """Problem in a serialized artifact; carries a JSON-pointer-style path."""
 
     def __init__(self, message: str, pointer: str = ""):
-        self.pointer = pointer
+        self.message, self.pointer = message, pointer
         super().__init__(f"{message} (at {pointer})" if pointer else message)
 
 
@@ -109,13 +109,22 @@ def naming(what: str, path: str | Path):
         raise
 
 
+@contextmanager
+def within(pointer: str):
+    """Re-raises a SchemaError from the block as one at ``pointer`` + its own pointer."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(exc.message, pointer + exc.pointer) from exc
+
+
 # Shape checks shared by the artifact loaders. ``bool`` is a subclass of
 # ``int``, but a JSON true/false is never taken for a number. Messages are
 # formatted only on failure, as a bundle check visits every word and row.
 NUMBER = (int, float)
 
 
-def _fits(value, kinds: tuple) -> bool:
+def fits(value, kinds: tuple) -> bool:
     return type(value) in kinds or (isinstance(value, kinds) and not isinstance(value, bool))
 
 
@@ -131,7 +140,7 @@ def expect(obj, key: str, kind, pointer: str):
     if key not in obj:
         raise SchemaError(f"missing key {key!r}", pointer or "/")
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not _fits(obj[key], kinds):
+    if not fits(obj[key], kinds):
         raise _mismatch(obj[key], kinds, f"key {key!r}", f"{pointer}/{key}")
     return obj[key]
 
@@ -144,7 +153,7 @@ def expect_items(values, kind, pointer: str, length: int | None = None) -> list:
         raise SchemaError(f"expected {length} items, got {len(values)}", pointer)
     kinds = kind if isinstance(kind, tuple) else (kind,)
     for i, value in enumerate(values):
-        if not _fits(value, kinds):
+        if not fits(value, kinds):
             raise _mismatch(value, kinds, "item", f"{pointer}/{i}")
     return values
 

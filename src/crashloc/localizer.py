@@ -19,6 +19,7 @@ from typing import Sequence, Union
 
 from .appmodel import (
     API_KIND_CALL_IN,
+    DEFAULT_LINKS_DEPTH,
     ApiRef,
     AppModel,
     MethodRef,
@@ -127,7 +128,7 @@ def locate_category_b(
     report: CrashReport,
     model: AppModel,
     training_b: Pool,
-    depth: int = 5,
+    depth: int = DEFAULT_LINKS_DEPTH,
 ) -> LocalizationResult:
     """Rank out-of-trace developer methods for the inferred handled API.
 
@@ -220,7 +221,7 @@ class Pipeline:
 
     nb: NBModel
     corpus: tuple[LabeledCrash, ...]
-    links_depth: int = 5
+    links_depth: int = DEFAULT_LINKS_DEPTH
 
     @cached_property
     def index_b(self) -> SubtraceIndex:
@@ -258,7 +259,7 @@ def locate(
     model: AppModel | None,
     corpus: Sequence[LabeledCrash],
     nb: NBModel,
-    depth: int = 5,
+    depth: int = DEFAULT_LINKS_DEPTH,
 ) -> LocalizationResult:
     """Full pipeline for one crash: categorize, then dispatch the locator.
 

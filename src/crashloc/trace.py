@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_FRAMEWORK_PREFIXES
+from .config import DEFAULT_FRAMEWORK_PREFIXES, checked_prefixes
 from .errors import MalformedLog, MissingException, NoDeveloperFrame
 
 _HEADER_RE = re.compile(
@@ -53,15 +53,14 @@ class StackFrame:
 
 @dataclass(frozen=True)
 class FrameworkMatcher:
-    """Decides whether a class belongs to the framework, by package prefix."""
+    """Decides whether a class belongs to the framework, by package prefix;
+    the prefixes follow Config's rule for ``framework_prefixes``."""
 
     prefixes: tuple[str, ...] = DEFAULT_FRAMEWORK_PREFIXES
 
     def __post_init__(self):
-        if not self.prefixes:
-            raise ValueError("FrameworkMatcher needs at least one prefix")
         # str.startswith takes a tuple of prefixes, not a list.
-        object.__setattr__(self, "prefixes", tuple(self.prefixes))
+        object.__setattr__(self, "prefixes", checked_prefixes(self.prefixes))
 
     def is_framework(self, class_name: str) -> bool:
         return class_name.startswith(self.prefixes)

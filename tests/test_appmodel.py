@@ -101,6 +101,19 @@ def test_boolean_position_rejected():
     assert exc.value.pointer == "/param_flows/0/position"
 
 
+@pytest.mark.parametrize("flow, error, pointer", [
+    ({"callee": "com.b.Ghost#take(com.a.Source)", "position": 0, "class_name": "com.a.Source"},
+     DanglingRef, "/param_flows/0/callee"),
+    ({"callee": "com.b.Sink#take(com.a.Source)", "position": -1, "class_name": "com.a.Source"},
+     SchemaError, "/param_flows/0/position"),
+], ids=["undeclared-callee", "negative-position"])
+def test_bad_param_flow_rejected_with_pointer(flow, error, pointer):
+    with pytest.raises(error) as exc:
+        _model(classes=[_class("com.b.Sink", active=["com.b.Sink#take(com.a.Source)"])],
+               param_flows=[flow])
+    assert exc.value.pointer == pointer
+
+
 def test_callback_outside_chain_rejected():
     with pytest.raises(DanglingRef):
         _model(

@@ -473,6 +473,23 @@ def test_evaluate_with_a_smoothing_too_small_for_a_model_exits_2(tmp_path, where
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, lines, error", [
+    ("train", 0, "EmptyCorpus"),
+    ("evaluate", 0, "CorpusTooSmall"),
+    ("evaluate", 3, "CorpusTooSmall"),
+], ids=["train-empty", "evaluate-empty", "evaluate-3-crashes-5-folds"])
+def test_corpus_unfit_for_the_command_exits_2_naming_it(tmp_path, command, lines, error):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(CORPUS_PATH.read_text(encoding="utf-8").splitlines(True)[:lines]),
+                      encoding="utf-8")
+    extra = ["--model", str(tmp_path / "bundle.json")] if command == "train" else []
+    proc = run_cli(command, "--corpus", str(corpus), *extra)
+    assert proc.returncode == 2, proc.stdout
+    record = json.loads(proc.stderr)
+    assert record["error"] == error
+    assert record["message"].endswith(f" in corpus {str(corpus)!r}")
+
+
 @pytest.mark.parametrize("command", ["evaluate", "locate"])
 def test_closed_stdout_exits_quietly(bundle, command):
     # The reader goes away before the first byte is written, as `| head -0` does.

@@ -25,7 +25,7 @@ from crashloc.localizer import (
     locate_category_c,
     location_label,
 )
-from crashloc.nb import Category
+from crashloc.nb import Category, NBModel
 from crashloc.nb import train as train_nb
 from crashloc.trace import FrameworkMatcher, parse_and_split
 
@@ -84,6 +84,13 @@ def test_category_a_single_frame():
     result = locate_category_a(report)
     assert len(result.ranked) == 1
     assert result.ranked[0][1] == 1.0
+
+
+def test_category_a_ranks_a_repeated_method_once_at_its_first_position():
+    report = make_report(developer=("com.app.Loop.step", "com.app.Loop.run", "com.app.Loop.step"))
+    result = locate_category_a(report)
+    assert [(location_label(loc), score) for loc, score in result.ranked] == [
+        ("com.app.Loop#step", 1.0), ("com.app.Loop#run", 0.5)]
 
 
 def test_category_a_requires_developer_frame():
@@ -357,6 +364,13 @@ def test_pipeline_dispatch_raises_raw_errors_and_locate_wraps_them(corpus_module
         locate(report, None, no_c, trained)
     assert exc.value.phase == "locate"
     assert isinstance(exc.value.__cause__, EmptyPool)
+
+
+def test_locate_without_a_vocabulary_fails_in_categorize(corpus_module, trained, matcher):
+    bare = NBModel(trained.priors, trained.cond, trained.smoothing)
+    with pytest.raises(LocateError) as exc:
+        crashloc.locate(_crash("a1_notes_npe.log", matcher), None, corpus_module, bare)
+    assert exc.value.phase == "categorize"
 
 
 def test_fit_pipeline_matches_hand_trained_parts(corpus_module, trained):
