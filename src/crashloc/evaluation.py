@@ -27,14 +27,15 @@ from .appmodel import load_app_model
 from .config import Config
 from .corpus import CATEGORIES, Category, LabeledCrash
 from .errors import CorpusTooSmall, CrashLocError, EmptySet
-from .features import build_vocabulary, chi_square_select, vectorize
+from .features import build_vocabulary, chi_square_select, set_bits
 from .localizer import Pipeline
-from .nb import train as train_nb
+from .nb import train_bits
 from .similarity import group_by_subtrace
 
 # Unused here: bound only so that bench/tracer.py can wrap them under these names.
+from .features import vectorize  # noqa: F401
 from .localizer import locate_category_a, locate_category_b, locate_category_c  # noqa: F401
-from .nb import predict  # noqa: F401
+from .nb import predict, train as train_nb  # noqa: F401
 
 PROTOCOLS = ("end_to_end", "perfect_categorization")
 RECALL_KS = (1, 5, 10)
@@ -180,11 +181,16 @@ class EvalReport:
 
 
 def fit(train: Sequence[LabeledCrash], config: Config) -> Pipeline:
-    """Train Phase 1 (vocabulary, chi-square selection, NB) and keep the Phase-2 pools."""
+    """Train Phase 1 (vocabulary, chi-square selection, NB) and keep the Phase-2 pools.
+
+    Each crash's tokens are taken once (``CrashReport.tokens``); the NB
+    counts come from their set-bit positions (``train_bits``), which gives
+    the model of ``vectorize`` and ``train`` without dense vectors.
+    """
     vocab = build_vocabulary(train)
     selected = chi_square_select(vocab, train, config.chi2_ratio)
-    pairs = [(vectorize(c.report, selected), c.category) for c in train]
-    nb_model = train_nb(pairs, config.nb_smoothing, selected)
+    rows = [(set_bits(crash.report, selected), crash.category) for crash in train]
+    nb_model = train_bits(rows, len(selected), config.nb_smoothing, selected)
     return Pipeline(nb_model, tuple(train), config.links_depth)
 
 

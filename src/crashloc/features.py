@@ -3,15 +3,20 @@
 A crash contributes three token sources: the exception type and the
 qualified names of the framework sub-trace frames (split on "."), and the
 crash message (split on whitespace). Tokens are case-preserved, never
-stemmed or lower-cased. Vocabulary words are scored with a chi-square test
-against the category labels and only the top fraction is kept.
+stemmed or lower-cased; ``CrashReport.tokens`` takes them once per report.
+Vocabulary words are scored with a chi-square test against the category
+labels and only the top fraction is kept. A word's score depends only on
+its per-category document counts, so each distinct count tuple is scored
+once. ``set_bits`` gives the feature positions of a report's tokens,
+which ``vectorize`` spreads into a dense vector.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import chain, repeat
+from typing import Sequence
 
 from .corpus import LabeledCrash
 from .errors import NUMBER, EmptyCorpus, SchemaError, expect, expect_between, expect_items
@@ -23,21 +28,8 @@ FeatureVector = list
 _CUT_EPS = 1e-9  # guards ceil() against float noise in ratio * n
 
 
-def iter_tokens(report: CrashReport) -> Iterator[str]:
-    """Tokens in deterministic first-occurrence order, duplicates included."""
-    for part in report.exception_type.split("."):
-        if part:
-            yield part
-    for part in report.message.split():
-        yield part
-    for name in report.subtrace_key:
-        for part in name.split("."):
-            if part:
-                yield part
-
-
 def tokenize(report: CrashReport) -> set[str]:
-    return set(iter_tokens(report))
+    return set(report.tokens)
 
 
 @dataclass(frozen=True)
@@ -106,12 +98,7 @@ def build_vocabulary(corpus: Sequence[LabeledCrash]) -> Vocabulary:
     """Union of corpus tokens, ordered by first occurrence."""
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
-    seen: dict = {}
-    for crash in corpus:
-        for token in iter_tokens(crash.report):
-            if token not in seen:
-                seen[token] = None
-    return Vocabulary(tuple(seen))
+    return Vocabulary(tuple(dict.fromkeys(chain.from_iterable(c.report.tokens for c in corpus))))
 
 
 def chi2_stat(o11: int, o12: int, o21: int, o22: int) -> float:
@@ -129,7 +116,8 @@ def chi2_stat(o11: int, o12: int, o21: int, o22: int) -> float:
 
 def _rank_and_cut(words: Sequence[str], scores: Sequence[float], ratio: float) -> tuple[str, ...]:
     keep = max(1, math.ceil(ratio * len(words) - _CUT_EPS))
-    order = sorted(range(len(words)), key=lambda i: (-scores[i], i))
+    # Sorting is stable under reverse=True too: equal scores keep vocabulary order.
+    order = sorted(range(len(words)), key=scores.__getitem__, reverse=True)
     return tuple(words[i] for i in order[:keep])
 
 
@@ -151,20 +139,21 @@ def chi_square_select(
     # crashes of categories[k] holding word, totals[k] the crashes of it.
     by_category = {cat: Counter() for cat in categories}
     for crash in corpus:
-        by_category[crash.category].update(tokenize(crash.report))
+        by_category[crash.category].update(crash.report.tokens)
     doc_freq = [by_category[cat] for cat in categories]
     totals = [sum(1 for crash in corpus if crash.category == cat) for cat in categories]
     n = len(corpus)
-    scores = []
-    for word in vocab.words:
-        in_cat = [counts.get(word, 0) for counts in doc_freq]
+    # Equal count tuples give equal scores, and many words share one: score each tuple once.
+    counts = list(zip(*(map(freq.get, vocab.words, repeat(0)) for freq in doc_freq)))
+    score_of = {}
+    for in_cat in set(counts):
         present = sum(in_cat)
         best = 0.0
         for o11, total in zip(in_cat, totals):
             o21 = total - o11
             best = max(best, chi2_stat(o11, present - o11, o21, n - present - o21))
-        scores.append(best)
-    scores = tuple(scores)
+        score_of[in_cat] = best
+    scores = tuple(map(score_of.__getitem__, counts))
     return SelectedVocabulary(
         base=vocab,
         selected=_rank_and_cut(vocab.words, scores, ratio),
@@ -173,12 +162,15 @@ def chi_square_select(
     )
 
 
+def set_bits(report: CrashReport, sel: SelectedVocabulary) -> list[int]:
+    """Distinct feature positions of the report's tokens among the selected
+    words, in token order."""
+    return [i for i in map(sel.position.get, report.tokens) if i is not None]
+
+
 def vectorize(report: CrashReport, sel: SelectedVocabulary) -> FeatureVector:
     """Binary membership vector of the report's tokens in the selected words."""
-    position = sel.position
     vector = [0] * len(sel.selected)
-    for token in iter_tokens(report):
-        i = position.get(token)
-        if i is not None:
-            vector[i] = 1
+    for i in set_bits(report, sel):
+        vector[i] = 1
     return vector

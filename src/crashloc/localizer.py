@@ -30,8 +30,8 @@ from .appmodel import (
 )
 from .corpus import SUB_CATEGORIES, Category, LabeledCrash, SubCategory
 from .errors import CrashLocError, EmptyPool, LocateError
-from .nb import NBModel, predict
-from .features import vectorize
+from .nb import NBModel, certified_argmax, predict
+from .features import set_bits, vectorize
 from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
 from .trace import CrashReport
 
@@ -232,8 +232,15 @@ class Pipeline:
         return SubtraceIndex.of([c for c in self.corpus if c.category is Category.C])
 
     def categorize(self, report: CrashReport) -> Category:
-        """Phase 1: the most probable category of ``report``."""
-        return predict(self.nb, vectorize(report, self.nb.selected_vocab))[0]
+        """Phase 1: the most probable category of ``report``, as ``predict``
+        picks it. ``certified_argmax`` answers from the report's set bits when
+        its margin certificate holds; on a near tie ``predict`` decides."""
+        nb, sel = self.nb, self.nb.selected_vocab
+        if len(sel) == nb.n_features:  # otherwise predict raises DimensionMismatch
+            category = certified_argmax(nb, set_bits(report, sel))
+            if category is not None:
+                return category
+        return predict(nb, vectorize(report, sel))[0]
 
     def locate_as(
         self, category: Category, report: CrashReport, app_model: AppModel | None

@@ -4,6 +4,12 @@ Categories are the labels of ``corpus.Category``: A (in the stack trace),
 B (outside the trace but in the code), C (outside the code). Training uses
 additive smoothing on both priors and conditionals; prediction runs fully
 in log space and breaks ties in favor of A, then B, then C.
+
+``train`` counts the set bits of dense vectors and ``train_bits`` takes
+their positions; both build the same model. ``predict`` defines the
+category. ``certified_argmax`` finds it in time proportional to the set
+bits, or returns None on a near tie, where only ``predict`` can tell; its
+rounding-error bounds are explained at ``NBModel.argmax_tables``.
 """
 from __future__ import annotations
 
@@ -11,11 +17,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Sequence
+from operator import sub
+from typing import Iterable, Sequence
 
 from .corpus import CATEGORIES, Category
 from .errors import NUMBER, DimensionMismatch, EmptyCorpus, expect, expect_between, expect_items
 from .features import FeatureVector, SelectedVocabulary
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,36 @@ class NBModel:
                   for row in self.cond),
             tuple((math.log(row[0]), math.log(row[1]), math.log(row[2]))
                   for row in self.cond),
+        )
+
+    @cached_property
+    def argmax_tables(self) -> tuple:
+        """``(base, delta columns, bounds)`` per class for ``certified_argmax``,
+        taken on its first call. Its logarithms are those of ``log_tables``;
+        the bounds follow Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., ch. 4, with gamma_N = N u / (1 - N u).
+
+        ``base[c]`` is log prior(c) + sum_i log(1 - cond(i, c)), correctly
+        rounded by ``math.fsum``, and ``delta[c][i]`` is log cond(i, c) -
+        log(1 - cond(i, c)). With F features, N = F + 1 and M_c = |log prior(c)|
+        + sum_i (|log cond(i, c)| + |log(1 - cond(i, c))|), ``predict``'s
+        sequential sum of F + 1 terms errs by at most gamma_N M_c, and the
+        certified score (base, one rounding per delta, an fsum over the set
+        bits) by at most 2 gamma_N M_c. ``bounds[c]`` is 4 gamma_N M_c: the
+        fourth share covers the roundings of the bound and of the comparison.
+        """
+        columns = tuple(zip(*self.cond)) or ((), (), ())  # also for no features
+        log_priors = tuple(map(math.log, self.priors))
+        absent = [tuple(map(math.log, map((1.0).__sub__, col))) for col in columns]
+        present = [tuple(map(math.log, col)) for col in columns]
+        n = self.n_features + 1
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        return (
+            tuple(math.fsum((lp, *acol)) for lp, acol in zip(log_priors, absent)),
+            tuple(tuple(map(sub, pcol, acol)) for pcol, acol in zip(present, absent)),
+            # Every logarithm here is <= 0, so M_c is minus their sum.
+            tuple(-4.0 * gamma * math.fsum((lp, *acol, *pcol))
+                  for lp, acol, pcol in zip(log_priors, absent, present)),
         )
 
     def to_json_obj(self) -> dict:
@@ -116,15 +155,27 @@ def train(
         raise DimensionMismatch(
             f"vectors have {n_features} features but vocabulary selects {len(selected_vocab)}"
         )
+    rows = [(compress(range(n_features), vec), category) for vec, category in corpus]
+    return train_bits(rows, n_features, smoothing, selected_vocab)
 
-    n = len(corpus)
+
+def train_bits(
+    rows: Sequence[tuple[Iterable[int], Category]],
+    n_features: int,
+    smoothing: float,
+    selected_vocab: SelectedVocabulary | None = None,
+) -> NBModel:
+    """``train`` on each crash's distinct set-bit positions (each below
+    ``n_features``) instead of its vector. ``rows`` is non-empty and
+    ``smoothing`` positive, as ``train`` checks."""
+    n = len(rows)
     counts = [0, 0, 0]
     ones = [[0] * n_features for _ in CATEGORIES]
-    for vec, category in corpus:
+    for bits, category in rows:
         k = CATEGORIES.index(category)
         counts[k] += 1
         row = ones[k]
-        for i in compress(range(n_features), vec):
+        for i in bits:
             row[i] += 1
 
     priors = tuple((counts[k] + smoothing) / (n + 3 * smoothing) for k in range(3))
@@ -154,3 +205,16 @@ def predict(model: NBModel, vector: FeatureVector) -> tuple[Category, dict[Categ
     scores = [s0, s1, s2]
     best = max(range(3), key=lambda k: (scores[k], -k))
     return CATEGORIES[best], dict(zip(CATEGORIES, scores))
+
+
+def certified_argmax(model: NBModel, bits: Sequence[int]) -> Category | None:
+    """``predict``'s category for the vector whose set bits are the distinct
+    positions ``bits``, or None when the margin certificate fails (an exact
+    or near tie) and only ``predict`` can tell."""
+    base, delta, bounds = model.argmax_tables
+    scores = [math.fsum((b, *map(col.__getitem__, bits))) for b, col in zip(base, delta)]
+    best = max(range(3), key=scores.__getitem__)
+    for k in range(3):
+        if k != best and scores[best] - scores[k] <= bounds[best] + bounds[k]:
+            return None
+    return CATEGORIES[best]

@@ -15,7 +15,8 @@ present. Parsing also labels each frame framework/developer by package
 prefix, so a report is split when it is built: the framework sub-trace
 is the run of framework frames above the first developer frame, and the
 frame directly above that developer frame is the crash-triggering
-framework call.
+framework call. A report also carries the tokens that categorization
+counts, taken on first use.
 """
 from __future__ import annotations
 
@@ -77,7 +78,8 @@ class CrashReport:
     Framework frames below the first developer frame stay in ``frames``
     but belong to neither list. ``subtrace_key`` holds the qualified names
     of the framework sub-trace, the key that similarity and bucketing
-    compare.
+    compare. ``tokens`` holds the words that categorization counts, taken
+    on first use.
     """
 
     exception_type: str
@@ -86,6 +88,7 @@ class CrashReport:
     developer_frames: tuple[StackFrame, ...]
     framework_subtrace: tuple[StackFrame, ...] = field(init=False, compare=False)
     subtrace_key: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.developer_frames:
@@ -93,6 +96,20 @@ class CrashReport:
         subtrace = self.frames[: self.developer_frames[0].index]
         object.__setattr__(self, "framework_subtrace", subtrace)
         object.__setattr__(self, "subtrace_key", tuple(f.qualified_name for f in subtrace))
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """Distinct tokens in first-occurrence order: the dotted parts of the
+        exception type, the whitespace-separated words of the message, then
+        the dotted parts of each framework sub-trace frame name. Tokens keep
+        their case. Taken on first use, so that a crash is tokenized once."""
+        if self._tokens is None:
+            parts = self.exception_type.split(".") + self.message.split()
+            for name in self.subtrace_key:
+                parts += name.split(".")
+            # Only the dotted names give empty parts.
+            object.__setattr__(self, "_tokens", tuple(dict.fromkeys(filter(None, parts))))
+        return self._tokens
 
     @property
     def signaler(self) -> StackFrame:

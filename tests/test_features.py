@@ -14,7 +14,6 @@ from crashloc.features import (
     build_vocabulary,
     chi2_stat,
     chi_square_select,
-    iter_tokens,
     tokenize,
     vectorize,
 )

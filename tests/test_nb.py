@@ -11,7 +11,7 @@ from crashloc.config import Config
 from crashloc.errors import DimensionMismatch, EmptyCorpus, SchemaError
 from crashloc.evaluation import fit
 from crashloc.features import SelectedVocabulary, vectorize
-from crashloc.nb import CATEGORIES, Category, NBModel, predict, train
+from crashloc.nb import CATEGORIES, Category, NBModel, certified_argmax, predict, train
 
 
 def oracle_log_posterior(corpus, smoothing, vector, category):
@@ -125,18 +125,21 @@ def test_bundle_roundtrip_predicts_bit_identically(corpus):
         assert vector == vectorize(crash.report, trained.selected_vocab)
         assert predict(loaded, vector) == predict(trained, vector)
     assert loaded.log_tables == trained.log_tables
+    assert loaded.argmax_tables == trained.argmax_tables
 
 
 def test_log_tables_leave_equality_repr_and_json_alone():
     corpus = [([1, 0], Category.A), ([0, 1], Category.B), ([1, 1], Category.C)]
-    fresh, used = train(corpus, 1.0), train(corpus, 1.0)
-    before = (repr(used), json.dumps(used.to_json_obj()), hash(used))
-    predict(used, [1, 0])
-    assert "log_tables" in vars(used) and "log_tables" not in vars(fresh)
-    assert used == fresh and fresh == used
-    assert (repr(used), json.dumps(used.to_json_obj()), hash(used)) == before
-    assert repr(fresh) == before[0]
-    assert "log_tables" not in repr(used)
+    for tables, take in (("log_tables", lambda model: predict(model, [1, 0])),
+                         ("argmax_tables", lambda model: certified_argmax(model, [0]))):
+        fresh, used = train(corpus, 1.0), train(corpus, 1.0)
+        before = (repr(used), json.dumps(used.to_json_obj()), hash(used))
+        take(used)
+        assert tables in vars(used) and tables not in vars(fresh)
+        assert used == fresh and fresh == used
+        assert (repr(used), json.dumps(used.to_json_obj()), hash(used)) == before
+        assert repr(fresh) == before[0]
+        assert tables not in repr(used)
     assert [f.name for f in dataclasses.fields(NBModel)] == [
         "priors", "cond", "smoothing", "selected_vocab"]
 

@@ -1,24 +1,30 @@
 """The Phase-1 kernels agree exactly with the versions they replaced.
 
-``reference_chi_square_select``, ``reference_vectorize``, ``reference_train``
-and ``reference_predict`` are kept verbatim: chi-square tests every word
-against every crash of every category, ``vectorize`` tests every selected
-word against the report's token set, ``train`` visits every bit and
-``predict`` takes two logarithms per feature on each call. On random
-corpora the counting chi-square, the sparse ``vectorize`` and ``train`` and
-the log-table ``predict`` must return the same scores, selected words,
-vectors, models and posteriors (``==`` on floats, never approx).
+``reference_iter_tokens``, ``reference_chi_square_select``,
+``reference_vectorize``, ``reference_train`` and ``reference_predict`` are
+kept verbatim: chi-square tests every word against every crash of every
+category, ``vectorize`` tests every selected word against the report's
+token set, ``train`` visits every bit and ``predict`` takes two logarithms
+per feature on each call. On random corpora the counting chi-square, the
+sparse ``vectorize`` and ``train`` and the log-table ``predict`` must return
+the same tokens, scores, selected words, vectors, models and posteriors
+(``==`` on floats, never approx). ``CrashReport.tokens`` must hold the
+reference tokens once each, and ``evaluation.fit``, which counts set bits,
+must build the model of the dense chain.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crashloc.config import Config
 from crashloc.corpus import LabeledCrash
 from crashloc.errors import DimensionMismatch, EmptyCorpus
+from crashloc.evaluation import fit
 from crashloc.features import (
     FeatureVector,
     SelectedVocabulary,
@@ -27,13 +33,25 @@ from crashloc.features import (
     build_vocabulary,
     chi2_stat,
     chi_square_select,
-    tokenize,
     vectorize,
 )
 from crashloc.nb import CATEGORIES, Category, NBModel, predict, train
 from crashloc.trace import CrashReport
 
 from conftest import make_report
+
+
+def reference_iter_tokens(report: CrashReport) -> Iterator[str]:
+    """Tokens in deterministic first-occurrence order, duplicates included."""
+    for part in report.exception_type.split("."):
+        if part:
+            yield part
+    for part in report.message.split():
+        yield part
+    for name in report.subtrace_key:
+        for part in name.split("."):
+            if part:
+                yield part
 
 
 def reference_chi_square_select(
@@ -50,7 +68,7 @@ def reference_chi_square_select(
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
     categories = sorted({crash.category for crash in corpus}, key=lambda c: c.value)
-    doc_tokens = [tokenize(crash.report) for crash in corpus]
+    doc_tokens = [set(reference_iter_tokens(crash.report)) for crash in corpus]
     scores = []
     for word in vocab.words:
         best = 0.0
@@ -80,7 +98,7 @@ def reference_chi_square_select(
 
 def reference_vectorize(report: CrashReport, sel: SelectedVocabulary) -> FeatureVector:
     """Binary membership vector of the report's tokens in the selected words."""
-    tokens = tokenize(report)
+    tokens = set(reference_iter_tokens(report))
     return [1 if word in tokens else 0 for word in sel.selected]
 
 
@@ -162,7 +180,8 @@ def _crash(exception: str, message: str, framework: tuple, category: Category) -
     return LabeledCrash(report=report, category=category, true_location="x#y")
 
 
-messages = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
+messages = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join) | st.lists(
+    st.sampled_from(WORDS + ("", " ", "\t", "a.b", ".")), max_size=6).map("  ".join)
 frames = st.lists(
     st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS)).map(
         lambda pair: f"android.{pair[0].lower()}.{pair[1]}.call"),
@@ -184,8 +203,26 @@ def _assert_selections_equal(corpus, vocab, ratio) -> SelectedVocabulary:
     return got
 
 
+def _assert_fit_equal(corpus, ratio, smoothing=1.0) -> None:
+    """``fit``'s model, selected vocabulary included, is the dense chain's."""
+    for crash in corpus:
+        assert crash.report.tokens == tuple(dict.fromkeys(reference_iter_tokens(crash.report)))
+    vocab = build_vocabulary(corpus)
+    assert vocab.words == tuple(dict.fromkeys(
+        token for crash in corpus for token in reference_iter_tokens(crash.report)))
+    sel = reference_chi_square_select(vocab, corpus, ratio)
+    pairs = [(vectorize(crash.report, sel), crash.category) for crash in corpus]
+    want = train(pairs, smoothing, sel)
+    got = fit(corpus, Config(chi2_ratio=ratio, nb_smoothing=smoothing)).nb
+    assert got.selected_vocab == want.selected_vocab
+    assert got.selected_vocab.selected == want.selected_vocab.selected
+    assert got == want
+
+
 def _assert_phase1_equal(corpus, vocab, ratio, queries=(), smoothing=1.0) -> None:
-    """Selection, vectors, model and posteriors all equal the references."""
+    """Selection, vectors, model and posteriors all equal the references, and
+    so does ``fit`` on ``corpus``."""
+    _assert_fit_equal(corpus, ratio, smoothing)
     sel = _assert_selections_equal(corpus, vocab, ratio)
     reports = [crash.report for crash in corpus] + [crash.report for crash in queries]
     vectors = [vectorize(report, sel) for report in reports]
@@ -257,6 +294,39 @@ def test_ratio_one_keeps_every_word_in_reference_order():
     sel = _assert_selections_equal(corpus, vocab, 1.0)
     assert sorted(sel.selected) == sorted(vocab.words)
     _assert_phase1_equal(corpus, vocab, 1.0)
+
+
+@given(exception=st.text(".ab", max_size=6), message=st.text(" .\t\nab", max_size=8))
+def test_tokens_of_names_with_empty_parts(exception, message):
+    # The parser gives no empty dotted parts; a report built directly can.
+    report = dataclasses.replace(make_report(), exception_type=exception, message=message)
+    assert report.tokens == tuple(dict.fromkeys(reference_iter_tokens(report)))
+
+
+def test_many_words_share_one_count_tuple():
+    # Every crash holds words no other crash holds: all of a category's
+    # private words have the count tuple (1, 0, 0), (0, 1, 0) or (0, 0, 1).
+    corpus = [_crash("java.lang.alpha", " ".join(f"w{i}x{j}" for j in range(30)), (), category)
+              for i, category in enumerate(CATEGORIES * 3)]
+    corpus.append(_crash("java.lang.IllegalStateException", "", (), Category.A))
+    for ratio in (1.0, 0.5, 0.1, 1e-9):
+        _assert_phase1_equal(corpus, build_vocabulary(corpus), ratio)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_words=st.integers(min_value=1, max_value=40),
+    categories=st.lists(st.sampled_from(CATEGORIES), min_size=1, max_size=10),
+    ratio=ratios,
+)
+def test_fit_matches_dense_chain_when_count_tuples_repeat(n_words, categories, ratio):
+    # Crash j holds words 0..(j mod 4) of a shared pool plus n_words private
+    # ones, so count tuples repeat across words and some categories may be absent.
+    corpus = [_crash("java.lang.alpha",
+                     " ".join([*WORDS[:j % 4], *(f"p{j}w{i}" for i in range(n_words))]),
+                     (), category)
+              for j, category in enumerate(categories)]
+    _assert_fit_equal(corpus, ratio)
 
 
 @pytest.mark.parametrize("bit", [2, -1, True, 0.5, "x", [0]])
