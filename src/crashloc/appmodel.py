@@ -16,10 +16,11 @@ non-overridden callbacks are inherited callback APIs the class never
 overrides, recorded with their defining framework class and kept nearest
 superclass first (a stable sort of the listed order). Loading validates
 every reference and rejects dangling ones; the loaded model is immutable
-and all queries are pure. The call graph that ``links`` and ``invokers_of``
-walk is derived once per model, on the first such query, and it keeps the
-methods reachable from each method within each searched depth as a bit
-mask, filled by one search the first time ``links`` asks for it.
+and all queries are pure. The call graph that ``invokers_of``, ``links``
+and ``link_scores`` walk is derived once per model, on the first such
+query, and it keeps the methods reachable from each method within each
+searched depth as a bit mask, filled by one search the first time it is
+asked for.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import (
     DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text, within,
@@ -345,6 +347,54 @@ def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = DEFAULT_LIN
         if mask >> i & 1 and graph.refs[i].same_method(s):
             return True
     return False
+
+
+def link_scores(
+    model: AppModel,
+    invokers: Sequence[MethodRef],
+    frames: Iterable[tuple[int, Sequence[MethodRef]]],
+    depth: int = DEFAULT_LINKS_DEPTH,
+) -> list[float]:
+    """Each invoker's Category-B score: ``1/d`` for every frame distance d
+    and every active method ``am`` of that frame's class (``frames`` gives
+    the (d, active methods) pairs) with ``links(model, s, am, depth)``.
+
+    The invokers' target masks are resolved once; then each (d, am) is one
+    pass over the invokers, which adds ``1/d`` to those of ``am``'s class,
+    to those whose class flows into ``am`` as a parameter, and to those
+    with a target bit in ``reachable(am, depth)``. Each invoker receives
+    its additions in (d, am) order, as a loop calling ``links`` per
+    (invoker, am) adds them, so the sums are the same floats. ``reachable``
+    is asked for once some invoker is linked neither by class nor by a
+    param flow, as ``links`` asks, so the memo fills the same keys.
+    """
+    if not invokers:
+        return []
+    graph = model.call_graph
+    entries = []  # (position, class, bits of the declared methods that are the invoker)
+    for i, s in enumerate(invokers):
+        target = 0
+        for j in graph.by_name.get((s.class_name, s.method_name), ()):
+            if graph.refs[j].same_method(s):
+                target |= 1 << j
+        entries.append((i, s.class_name, target))
+    scores = [0.0] * len(invokers)
+    for d, active_methods in frames:
+        weight = 1.0 / d
+        for am in active_methods:
+            flows = graph.flows.get((am.class_name, am.method_name))
+            flowing = {c for callee, c in flows if callee.same_method(am)} if flows else ()
+            mask = None
+            for i, class_name, target in entries:
+                if class_name == am.class_name or class_name in flowing:
+                    scores[i] += weight
+                    continue
+                if mask is None:
+                    start = graph.ids.get(am.canonical())
+                    mask = 0 if start is None else graph.reachable(start, depth)
+                if mask & target:
+                    scores[i] += weight
+    return scores
 
 
 def inherits_from(model: AppModel, nc: MethodRef, api: ApiRef) -> bool:

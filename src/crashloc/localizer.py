@@ -4,11 +4,12 @@ Category A ranks the developer frames in stack order. Category B infers
 the wrongly handled API from the most similar labeled crash and then walks
 the app model: for call-in APIs every invoker is scored by its linkage to
 the active methods of each stack-frame class, weighted by 1/d where d is
-the frame's 1-based distance from the crash method; for callback APIs the
-matching non-overridden callbacks of each stack-frame class are appended
-in frame order. Category C averages crash similarity per sub-category.
-The labels are ``corpus.Category`` and ``corpus.SubCategory``.
-``Pipeline`` pairs a trained categorizer with these locators.
+the frame's 1-based distance from the crash method, in one pass over the
+invokers per (frame, active method); for callback APIs the matching
+non-overridden callbacks of each stack-frame class are appended in frame
+order. Category C averages crash similarity per sub-category. The labels
+are ``corpus.Category`` and ``corpus.SubCategory``. ``Pipeline`` pairs a
+trained categorizer with these locators.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .appmodel import (
     MethodRef,
     inherits_from,
     invokers_of,
-    links,
+    link_scores,
     parse_method_ref,
 )
 from .corpus import SUB_CATEGORIES, Category, LabeledCrash, SubCategory
@@ -34,6 +35,9 @@ from .nb import NBModel, certified_argmax, predict
 from .features import set_bits, vectorize
 from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
 from .trace import CrashReport
+
+# Unused here: bound only so that bench/tracer.py can wrap it under this name.
+from .appmodel import links  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -132,8 +136,9 @@ def locate_category_b(
 ) -> LocalizationResult:
     """Rank out-of-trace developer methods for the inferred handled API.
 
-    Stack-frame classes missing from the app model are skipped with a
-    warning rather than failing the whole localization.
+    ``link_scores`` scores a call-in API's invokers, one pass per (frame,
+    active method). Stack-frame classes missing from the app model are
+    skipped with a warning rather than failing the whole localization.
     """
     api, provenance = infer_handled_api(report, training_b)
 
@@ -141,12 +146,8 @@ def locate_category_b(
     if api.kind == API_KIND_CALL_IN:
         invokers = invokers_of(model, api)
         # Invokers are unique by canonical name, so one score per position.
-        scores = [0.0] * len(invokers)
-        for d, _, cdef in _known_frames(report, model):
-            for i, s in enumerate(invokers):
-                for am in cdef.active_methods:
-                    if links(model, s, am, depth):
-                        scores[i] += 1.0 / d
+        frames = [(d, cdef.active_methods) for d, _, cdef in _known_frames(report, model)]
+        scores = link_scores(model, invokers, frames, depth)
         ranked = sorted(
             ((s, score) for s, score in zip(invokers, scores) if score > 0),
             key=lambda pair: -pair[1],
@@ -158,11 +159,7 @@ def locate_category_b(
             for nc in cdef.non_overridden_callbacks:
                 if not inherits_from(model, nc, api):
                     continue
-                suggestion = MethodRef(
-                    class_name=frame.class_name,
-                    method_name=nc.method_name,
-                    signature=nc.signature,
-                )
+                suggestion = MethodRef(frame.class_name, nc.method_name, nc.signature)
                 if suggestion.canonical() in seen:
                     continue
                 seen.add(suggestion.canonical())
@@ -236,6 +233,8 @@ class Pipeline:
         picks it. ``certified_argmax`` answers from the report's set bits when
         its margin certificate holds; on a near tie ``predict`` decides."""
         nb, sel = self.nb, self.nb.selected_vocab
+        if sel is None:
+            raise CrashLocError("model bundle carries no vocabulary")
         if len(sel) == nb.n_features:  # otherwise predict raises DimensionMismatch
             category = certified_argmax(nb, set_bits(report, sel))
             if category is not None:
@@ -276,8 +275,6 @@ def locate(
     one pointer compare per crash and an in-place change is seen).
     """
     global _last_pipeline
-    if nb.selected_vocab is None:
-        raise LocateError("categorize", "model bundle carries no vocabulary")
     corpus = tuple(corpus)
     pipeline = _last_pipeline
     if (pipeline is None or pipeline.nb is not nb or pipeline.links_depth != depth

@@ -43,13 +43,15 @@ class SubtraceIndex:
 
     ``first`` maps each distinct sub-trace (a key) to the pool position of
     its first crash, in first-occurrence order; a key's id is its ordinal
-    in ``first``, and ``key_ids[i]`` is the id of pool entry i's key.
-    ``bags[k]`` is key k's frame multiset, and ``postings`` maps each frame
-    to the ids of the keys holding it, ascending.
+    in ``first``, ``keys[k]`` is key k, and ``key_ids[i]`` is the id of
+    pool entry i's key. ``bags[k]`` is key k's frame multiset, and
+    ``postings`` maps each frame to the ids of the keys holding it,
+    ascending.
     """
 
     pool: tuple[LabeledCrash, ...]
     first: dict[tuple[str, ...], int]
+    keys: tuple[tuple[str, ...], ...]
     key_ids: tuple[int, ...]
     bags: tuple[Counter, ...]
     postings: dict[str, list[int]]
@@ -73,6 +75,7 @@ class SubtraceIndex:
         return cls(
             pool=tuple(pool),
             first={key: positions[0] for key, positions in groups.items()},
+            keys=tuple(groups),
             key_ids=tuple(key_ids),
             bags=tuple(bags),
             postings=postings,
@@ -154,19 +157,52 @@ def crash_similarity(c1: CrashReport, c2: CrashReport) -> float:
 def most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
     """Pool element with the highest similarity; ties keep the earliest.
 
-    Each distinct sub-trace is scored once, through its first crash; as
-    keys run in first-occurrence order, the first strict maximum is the
-    earliest crash of the best score. A key is skipped when an upper bound
-    on its score cannot beat the best so far: the length difference, then
-    the bag distance (Bartolini, Ciaccia and Patella, SPIRE 2002), are
-    lower bounds on the edit distance, and ``1.0 - d / longest`` is
-    monotone in d under float rounding, so no skipped key could win.
+    Each distinct sub-trace is scored once, through its first crash. The
+    keys that share a frame with the query get their shared-frame count
+    from the postings, and with it the bag-distance bound on their score
+    (Bartolini, Ciaccia and Patella, SPIRE 2002): the edit distance is at
+    least ``longest - shared``, and ``1.0 - d / longest`` is monotone in d
+    under float rounding. They are visited in decreasing bound, ties by key
+    id, until the bound falls below the best score, or equals it at a later
+    key id than the best's: no key left could then win or tie earlier
+    (the threshold algorithm of Fagin, Lotem and Naor, PODS 2001). A key
+    sharing no frame scores 0.0, so a best score above 0.0 is the answer;
+    otherwise ``_scan`` decides.
     """
     index = SubtraceIndex.of(pool)
     if not index.pool:
         raise EmptyPool("cannot pick the most similar crash from an empty pool")
     seq = frame_seq(query)
     bag = Counter(seq)
+    shared: dict[int, int] = {}
+    for frame, count in bag.items():
+        for key_id in index.postings.get(frame, ()):
+            shared[key_id] = shared.get(key_id, 0) + min(count, index.bags[key_id][frame])
+    order = []  # (negated bound, key id)
+    for key_id, common in shared.items():
+        longest = max(len(seq), len(index.keys[key_id]))
+        order.append((-(1.0 - (longest - common) / longest), key_id))
+    order.sort()
+    best, best_score = None, -1.0
+    for negated, key_id in order:
+        bound = -negated
+        if bound < best_score or (bound == best_score and key_id > best):
+            break
+        score = crash_similarity(query, index.pool[index.first[index.keys[key_id]]].report)
+        if score > best_score or (score == best_score and key_id < best):
+            best, best_score = key_id, score
+    if best_score > 0.0:
+        return index.pool[index.first[index.keys[best]]], best_score
+    return _scan(query, seq, bag, index)
+
+
+def _scan(query: CrashReport, seq: tuple[str, ...], bag: Counter,
+          index: SubtraceIndex) -> tuple[LabeledCrash, float]:
+    """``most_similar`` by a scan of the keys in id order: as keys run in
+    first-occurrence order, the first strict maximum is the earliest crash
+    of the best score. A key is skipped when an upper bound on its score
+    cannot beat the best so far: the length difference, then the bag
+    distance, are lower bounds on the edit distance."""
     best, best_score = None, -1.0
     for key_bag, (key, position) in zip(index.bags, index.first.items()):
         longest = max(len(seq), len(key))

@@ -7,6 +7,9 @@ the oracle for ``appmodel.invokers_of`` and ``appmodel.links``.
 ``reference_non_overridden_callbacks`` is the sort the Category-B locator
 once ran per query; applied to a class's callbacks in their listed order,
 it is the oracle for the order in which loading keeps them.
+``reference_locate_category_b`` is the Category-B locator that called
+``links`` once per (invoker, active method), kept verbatim; it is the
+oracle for ``appmodel.link_scores``, which the locator now calls.
 """
 from __future__ import annotations
 
@@ -16,17 +19,30 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crashloc.appmodel import (
+    API_KIND_CALL_IN,
+    DEFAULT_LINKS_DEPTH,
     ApiRef,
     AppModel,
     MethodRef,
     app_model_from_json,
+    inherits_from,
     invokers_of,
     links,
     load_app_model,
     parse_method_ref,
 )
+from crashloc.corpus import Category, LabeledCrash
+from crashloc.localizer import (
+    LocalizationResult,
+    Location,
+    _known_frames,
+    infer_handled_api,
+    locate_category_b,
+)
+from crashloc.similarity import Pool
+from crashloc.trace import CrashReport
 
-from conftest import APP_MODELS
+from conftest import APP_MODELS, make_report
 
 DEPTHS = range(7)
 
@@ -78,6 +94,57 @@ def reference_links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = 5
             break
         frontier = next_frontier
     return False
+
+
+def reference_locate_category_b(
+    report: CrashReport,
+    model: AppModel,
+    training_b: Pool,
+    depth: int = DEFAULT_LINKS_DEPTH,
+) -> LocalizationResult:
+    """Rank out-of-trace developer methods for the inferred handled API.
+
+    Stack-frame classes missing from the app model are skipped with a
+    warning rather than failing the whole localization.
+    """
+    api, provenance = infer_handled_api(report, training_b)
+
+    ranked: list[tuple[Location, float]]
+    if api.kind == API_KIND_CALL_IN:
+        invokers = invokers_of(model, api)
+        # Invokers are unique by canonical name, so one score per position.
+        scores = [0.0] * len(invokers)
+        for d, _, cdef in _known_frames(report, model):
+            for i, s in enumerate(invokers):
+                for am in cdef.active_methods:
+                    if links(model, s, am, depth):
+                        scores[i] += 1.0 / d
+        ranked = sorted(
+            ((s, score) for s, score in zip(invokers, scores) if score > 0),
+            key=lambda pair: -pair[1],
+        )
+    else:
+        ranked = []
+        seen = set()
+        for d, frame, cdef in _known_frames(report, model):
+            for nc in cdef.non_overridden_callbacks:
+                if not inherits_from(model, nc, api):
+                    continue
+                suggestion = MethodRef(
+                    class_name=frame.class_name,
+                    method_name=nc.method_name,
+                    signature=nc.signature,
+                )
+                if suggestion.canonical() in seen:
+                    continue
+                seen.add(suggestion.canonical())
+                ranked.append((suggestion, 1.0 / d))
+
+    return LocalizationResult(
+        predicted_category=Category.B,
+        ranked=tuple(ranked),
+        provenance=provenance,
+    )
 
 
 def reference_non_overridden_callbacks(
@@ -311,3 +378,77 @@ def test_call_graph_is_built_on_first_query_and_left_out_of_equality():
     for s in invokers_of(model, api):
         links(model, s, s, 5)
     assert model.call_graph is graph
+
+
+# ---------------------------------------------------------------------------
+# Category-B scoring
+# ---------------------------------------------------------------------------
+
+# Frame classes: the model's, one it never declares, and repeats of both,
+# so that one class sits at several distances d.
+FRAME_CLASSES = CLASS_NAMES + ("com.other.Gone",)
+
+# ``com.app.Main#run()`` invokes the API. It is linked to the frame at d = 1
+# by its class, and to each of the three active methods of the class at
+# d = 3 by one invocation hop. The frame at d = 2 is skipped. Its score adds
+# 1 + 1/3 + 1/3 + 1/3 in that order, which is 1.9999999999999998; adding
+# the thirds first would give 2.0.
+_THIRDS = {
+    "classes": [
+        {"name": "com.app.Main", "superclasses": ["java.lang.Object"],
+         "active_methods": ["com.app.Main#run()"], "non_overridden_callbacks": []},
+        {"name": "com.app.Helper", "superclasses": ["java.lang.Object"],
+         "active_methods": ["com.app.Helper#run()", "com.app.Helper#run(int)",
+                            "com.app.Helper#stop(long)"],
+         "non_overridden_callbacks": []},
+    ],
+    "invocations": [
+        {"caller": "com.app.Main#run()", "callees": ["android.app.Service#bindService"]},
+        {"caller": "com.app.Helper#run()", "callees": ["com.app.Main#run()"]},
+        {"caller": "com.app.Helper#run(int)", "callees": ["com.app.Main#run()"]},
+        {"caller": "com.app.Helper#stop(long)", "callees": ["com.app.Main#run()"]},
+    ],
+    "param_flows": [],
+    "apis": [{"class_name": "android.app.Service", "method_name": "bindService",
+              "kind": "call-in"}],
+}
+
+# A Helper instance flows into ``Main#run(int)`` only: ``Helper#stop(long)``
+# is linked to that active method of the frame class, and not to
+# ``Main#run()``, which shares its class and name but not its signature.
+_OVERLOAD_FLOW = {
+    "classes": [
+        {"name": "com.app.Main", "superclasses": ["java.lang.Object"],
+         "active_methods": ["com.app.Main#run()", "com.app.Main#run(int)"],
+         "non_overridden_callbacks": []},
+        {"name": "com.app.Helper", "superclasses": ["java.lang.Object"],
+         "active_methods": ["com.app.Helper#stop(long)"], "non_overridden_callbacks": []},
+    ],
+    "invocations": [
+        {"caller": "com.app.Helper#stop(long)", "callees": ["android.app.Service#bindService"]},
+    ],
+    "param_flows": [{"callee": "com.app.Main#run(int)", "position": 0,
+                     "class_name": "com.app.Helper"}],
+    "apis": [{"class_name": "android.app.Service", "method_name": "bindService",
+              "kind": "call-in"}],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=app_model_json(),
+       frame_classes=st.lists(st.sampled_from(FRAME_CLASSES), min_size=1, max_size=6),
+       api=st.sampled_from(API_REFS + (("x.Y", "z", "call-in"),)),
+       depth=st.integers(1, 6))
+@example(obj=_THIRDS, frame_classes=["com.app.Main", "com.other.Gone", "com.app.Helper"],
+         api=API_REFS[0], depth=1)
+@example(obj=_OVERLOAD_FLOW, frame_classes=["com.app.Main"], api=API_REFS[0], depth=1)
+def test_category_b_scores_match_the_links_loop(obj, frame_classes, api, depth):
+    report = make_report(developer=tuple(f"{cls}.run" for cls in frame_classes))
+    pool = [LabeledCrash(report=make_report(), category=Category.B, true_location="x#y",
+                         api_h=ApiRef(*api))]
+    # Each side gets its own loaded model, so each fills its own memo.
+    reference_model, model = app_model_from_json(obj), app_model_from_json(obj)
+    expected = reference_locate_category_b(report, reference_model, pool, depth)
+    actual = locate_category_b(report, model, pool, depth)
+    assert json.dumps(actual.to_json_obj()) == json.dumps(expected.to_json_obj())
+    assert set(model.call_graph.reach) == set(reference_model.call_graph.reach)

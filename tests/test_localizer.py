@@ -12,7 +12,7 @@ from crashloc import localizer
 from crashloc.appmodel import ApiRef, CallGraph, app_model_from_json, load_app_model
 from crashloc.config import Config
 from crashloc.corpus import LabeledCrash, load_corpus
-from crashloc.errors import EmptyPool, LocateError, NoDeveloperFrame
+from crashloc.errors import CrashLocError, EmptyPool, LocateError, NoDeveloperFrame
 from crashloc.evaluation import fit
 from crashloc.features import build_vocabulary, chi_square_select, vectorize
 from crashloc.localizer import (
@@ -367,10 +367,15 @@ def test_pipeline_dispatch_raises_raw_errors_and_locate_wraps_them(corpus_module
 
 
 def test_locate_without_a_vocabulary_fails_in_categorize(corpus_module, trained, matcher):
+    report = _crash("a1_notes_npe.log", matcher)
     bare = NBModel(trained.priors, trained.cond, trained.smoothing)
     with pytest.raises(LocateError) as exc:
-        crashloc.locate(_crash("a1_notes_npe.log", matcher), None, corpus_module, bare)
+        crashloc.locate(report, None, corpus_module, bare)
     assert exc.value.phase == "categorize"
+    assert str(exc.value) == "[categorize] model bundle carries no vocabulary"
+    pairs = [(vectorize(c.report, trained.selected_vocab), c.category) for c in corpus_module]
+    with pytest.raises(CrashLocError, match="^model bundle carries no vocabulary$"):
+        Pipeline(train_nb(pairs), ()).categorize(report)
 
 
 def test_fit_pipeline_matches_hand_trained_parts(corpus_module, trained):
@@ -501,10 +506,11 @@ def test_locate_searches_each_method_once_per_depth(corpus_module, trained, matc
         for _ in range(2):
             crashloc.locate(report, model, corpus_module, trained, depth)
             assert graph.reach == filled
-    # Two invokers outside the frame class, each linked to both active
-    # methods, on each of three passes per depth.
+    # One request per (frame, active method) on each of three queries per
+    # depth: the report has one MainActivity frame, and two invokers outside
+    # its class are linked by neither class nor param flow.
     assert set(requests) == set(graph.reach)
-    assert all(n == 6 for n in requests.values())
+    assert all(n == 3 for n in requests.values())
     assert model.call_graph is graph
     assert model == app_model_from_json(obj)
 

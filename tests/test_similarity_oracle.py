@@ -6,7 +6,7 @@ the bit-parallel ``edit_distance`` must return the same distance, and the
 bag distance that the nearest-crash search uses to skip keys must never
 exceed it.
 
-``reference_most_similar``, ``reference_infer_handled_api`` and
+``reference_linear_most_similar``, ``reference_infer_handled_api`` and
 ``reference_locate_category_c`` are the linear versions kept verbatim: one
 similarity per pool entry, the nearest crash found by value with
 ``list.index``, the Category-C sums built entry by entry. On random pools
@@ -14,6 +14,11 @@ with repeated, permuted and near-duplicate sub-traces, empty sub-traces,
 sub-traces sharing no frame with the query, ties and duplicate crashes,
 the indexed locators must return the same nearest crash,
 ``training_index``, score and every Category-C mean (``==`` on floats).
+
+``reference_most_similar`` is the bounded scan kept verbatim: every key in
+id order, skipped when its length or bag bound cannot beat the best so
+far. ``most_similar``, which visits the sharing keys in decreasing bound
+and stops early, must return the same crash and score.
 """
 from __future__ import annotations
 
@@ -35,9 +40,11 @@ from crashloc.localizer import (
 )
 from crashloc.nb import Category
 from crashloc.similarity import (
+    Pool,
     SubtraceIndex,
     crash_similarity,
     edit_distance,
+    frame_seq,
     group_by_subtrace,
     most_similar,
     shared_frames,
@@ -63,7 +70,7 @@ def reference_edit_distance(a: Sequence, b: Sequence) -> int:
     return prev[-1]
 
 
-def reference_most_similar(query: CrashReport, pool: Sequence["LabeledCrash"]) -> tuple["LabeledCrash", float]:
+def reference_linear_most_similar(query: CrashReport, pool: Sequence["LabeledCrash"]) -> tuple["LabeledCrash", float]:
     """Pool element with the highest similarity; ties keep the earliest."""
     if not pool:
         raise EmptyPool("cannot pick the most similar crash from an empty pool")
@@ -75,6 +82,36 @@ def reference_most_similar(query: CrashReport, pool: Sequence["LabeledCrash"]) -
     return best, best_score
 
 
+def reference_most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
+    """Pool element with the highest similarity; ties keep the earliest.
+
+    Each distinct sub-trace is scored once, through its first crash; as
+    keys run in first-occurrence order, the first strict maximum is the
+    earliest crash of the best score. A key is skipped when an upper bound
+    on its score cannot beat the best so far: the length difference, then
+    the bag distance (Bartolini, Ciaccia and Patella, SPIRE 2002), are
+    lower bounds on the edit distance, and ``1.0 - d / longest`` is
+    monotone in d under float rounding, so no skipped key could win.
+    """
+    index = SubtraceIndex.of(pool)
+    if not index.pool:
+        raise EmptyPool("cannot pick the most similar crash from an empty pool")
+    seq = frame_seq(query)
+    bag = Counter(seq)
+    best, best_score = None, -1.0
+    for key_bag, (key, position) in zip(index.bags, index.first.items()):
+        longest = max(len(seq), len(key))
+        if longest and (
+            1.0 - abs(len(seq) - len(key)) / longest <= best_score
+            or 1.0 - (longest - shared_frames(bag, key_bag)) / longest <= best_score
+        ):
+            continue
+        score = crash_similarity(query, index.pool[position].report)
+        if score > best_score:
+            best, best_score = position, score
+    return index.pool[best], best_score
+
+
 def reference_infer_handled_api(
     report: CrashReport, training_b: Sequence["LabeledCrash"]
 ) -> tuple[ApiRef, dict]:
@@ -84,7 +121,7 @@ def reference_infer_handled_api(
     for i, crash in enumerate(training_b):
         if crash.api_h is None:
             raise ValueError(f"training crash {i} carries no handled-API label")
-    nearest, score = reference_most_similar(report, training_b)
+    nearest, score = reference_linear_most_similar(report, training_b)
     provenance = {
         "strategy": "nearest_crash",
         "api_h": nearest.api_h.to_json_obj(),
@@ -248,7 +285,7 @@ def test_index_agrees_with_per_entry_scans(pool, query):
     report = make_report(framework=query)
     index = SubtraceIndex.of(pool)
 
-    ref_best, ref_score = reference_most_similar(report, pool)
+    ref_best, ref_score = reference_linear_most_similar(report, pool)
     for given_pool in (pool, index):
         best, score = most_similar(report, given_pool)
         assert best is ref_best and score == ref_score
@@ -264,11 +301,44 @@ def test_index_agrees_with_per_entry_scans(pool, query):
     assert actual.provenance["means"] == expected.provenance["means"]
 
 
+def _pool_of(*subtraces) -> list[LabeledCrash]:
+    return [_crash(subtrace, APIS[i % len(APIS)], SubCategory.HARDWARE)
+            for i, subtrace in enumerate(subtraces)]
+
+
+A, B, C, D = FRAMES
+X, Y = POOL_ONLY
+
+
+@settings(max_examples=500, deadline=None)
+@given(pool=pools(), query=subtraces)
+# Key 1's bound (1.0) is visited first and scores 1/3; key 0's bound equals
+# that score, and key 0 ties it at an earlier id, so the search must not
+# stop at an equal bound.
+@example(pool=_pool_of((A, X, Y), (A, C, B)), query=(A, B, C))
+# Permuted keys: equal bags, so equal bounds, visited by key id.
+@example(pool=_pool_of((B, A), (A, B), (A, B), (B, A)), query=(A, B))
+# Every sharing key scores 0.0, so a key sharing no frame, earlier in the
+# pool, is the nearest crash.
+@example(pool=_pool_of((X,), (B, A)), query=(A, C))
+@example(pool=_pool_of((X, Y), (Y,)), query=(A,))
+# An empty key and an empty query.
+@example(pool=_pool_of((A,), (), ()), query=())
+@example(pool=_pool_of((), (A,)), query=(A,))
+def test_threshold_search_matches_the_bounded_scan(pool, query):
+    report = make_report(framework=query)
+    ref_best, ref_score = reference_most_similar(report, pool)
+    for given_pool in (pool, SubtraceIndex.of(pool)):
+        best, score = most_similar(report, given_pool)
+        assert best is ref_best and score == ref_score
+
+
 @given(pool=pools())
 def test_index_is_the_bucketing_of_its_pool(pool):
     index = SubtraceIndex.of(pool)
     groups = group_by_subtrace(pool)
     assert list(index.first) == list(groups)
+    assert index.keys == tuple(groups)
     assert list(index.first.values()) == [positions[0] for positions in groups.values()]
     for key_id, positions in enumerate(groups.values()):
         assert [index.key_ids[p] for p in positions] == [key_id] * len(positions)
