@@ -183,10 +183,9 @@ def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResu
     index = SubtraceIndex.of(training_c)
     if not index.pool:
         raise EmptyPool("no Category-C training crashes to compare against")
-    positions = list(index.first.values())
-    key_scores = [0.0] * len(positions)
+    key_scores = [0.0] * len(index.heads)
     for key_id in index.sharing(frame_seq(report)):
-        key_scores[key_id] = crash_similarity(report, index.pool[positions[key_id]].report)
+        key_scores[key_id] = crash_similarity(report, index.pool[index.heads[key_id]].report)
     sums: dict[SubCategory, float] = {}
     counts: dict[SubCategory, int] = {}
     for i, (crash, key_id) in enumerate(zip(index.pool, index.key_ids)):
@@ -254,9 +253,10 @@ class Pipeline:
         return locate_category_c(report, self.index_c)
 
 
-# The last pipeline ``locate`` fitted; one slot, replaced when the next call
-# differs in ``nb``, depth or corpus. Each call works on the pipeline it read
-# or built, so two threads racing here at worst both build one.
+# The last pipeline ``locate`` fitted; one slot, replaced when a call that
+# differs in ``nb``, depth or corpus has categorized its crash. Each call
+# works on the pipeline it read or built, so two threads racing here at
+# worst both build one.
 _last_pipeline: Pipeline | None = None
 
 
@@ -279,11 +279,12 @@ def locate(
     pipeline = _last_pipeline
     if (pipeline is None or pipeline.nb is not nb or pipeline.links_depth != depth
             or pipeline.corpus != corpus):
-        pipeline = _last_pipeline = Pipeline(nb, corpus, depth)
+        pipeline = Pipeline(nb, corpus, depth)
     try:
         category = pipeline.categorize(report)
     except CrashLocError as exc:
         raise LocateError("categorize", str(exc)) from exc
+    _last_pipeline = pipeline
     try:
         return pipeline.locate_as(category, report, model)
     except LocateError:

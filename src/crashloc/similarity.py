@@ -32,26 +32,21 @@ def group_by_subtrace(crashes: Iterable[LabeledCrash]) -> dict[tuple[str, ...], 
     return groups
 
 
-def shared_frames(a: Counter, b: Counter) -> int:
-    """Size of the multiset intersection of two frame bags (frame -> count)."""
-    return sum(min(a[frame], b[frame]) for frame in a.keys() & b.keys())
-
-
 @dataclass(frozen=True, slots=True)
 class SubtraceIndex:
     """A pool of labeled crashes grouped by framework sub-trace.
 
     ``first`` maps each distinct sub-trace (a key) to the pool position of
     its first crash, in first-occurrence order; a key's id is its ordinal
-    in ``first``, ``keys[k]`` is key k, and ``key_ids[i]`` is the id of
-    pool entry i's key. ``bags[k]`` is key k's frame multiset, and
-    ``postings`` maps each frame to the ids of the keys holding it,
-    ascending.
+    in ``first``, ``heads[k]`` is the pool position of key k's first
+    crash, and ``key_ids[i]`` is the id of pool entry i's key. ``bags[k]``
+    is key k's frame multiset, and ``postings`` maps each frame to the ids
+    of the keys holding it, ascending.
     """
 
     pool: tuple[LabeledCrash, ...]
     first: dict[tuple[str, ...], int]
-    keys: tuple[tuple[str, ...], ...]
+    heads: tuple[int, ...]
     key_ids: tuple[int, ...]
     bags: tuple[Counter, ...]
     postings: dict[str, list[int]]
@@ -75,7 +70,7 @@ class SubtraceIndex:
         return cls(
             pool=tuple(pool),
             first={key: positions[0] for key, positions in groups.items()},
-            keys=tuple(groups),
+            heads=tuple(positions[0] for positions in groups.values()),
             key_ids=tuple(key_ids),
             bags=tuple(bags),
             postings=postings,
@@ -166,21 +161,21 @@ def most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
     id, until the bound falls below the best score, or equals it at a later
     key id than the best's: no key left could then win or tie earlier
     (the threshold algorithm of Fagin, Lotem and Naor, PODS 2001). A key
-    sharing no frame scores 0.0, so a best score above 0.0 is the answer;
-    otherwise ``_scan`` decides.
+    sharing no frame scores exactly 0.0, so when no sharing key scores
+    above 0.0 every key scores 0.0 and the first crash wins, except that an
+    empty query matches the empty key, if there is one, at 1.0.
     """
     index = SubtraceIndex.of(pool)
     if not index.pool:
         raise EmptyPool("cannot pick the most similar crash from an empty pool")
     seq = frame_seq(query)
-    bag = Counter(seq)
     shared: dict[int, int] = {}
-    for frame, count in bag.items():
+    for frame, count in Counter(seq).items():
         for key_id in index.postings.get(frame, ()):
             shared[key_id] = shared.get(key_id, 0) + min(count, index.bags[key_id][frame])
     order = []  # (negated bound, key id)
     for key_id, common in shared.items():
-        longest = max(len(seq), len(index.keys[key_id]))
+        longest = max(len(seq), len(frame_seq(index.pool[index.heads[key_id]].report)))
         order.append((-(1.0 - (longest - common) / longest), key_id))
     order.sort()
     best, best_score = None, -1.0
@@ -188,30 +183,11 @@ def most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
         bound = -negated
         if bound < best_score or (bound == best_score and key_id > best):
             break
-        score = crash_similarity(query, index.pool[index.first[index.keys[key_id]]].report)
+        score = crash_similarity(query, index.pool[index.heads[key_id]].report)
         if score > best_score or (score == best_score and key_id < best):
             best, best_score = key_id, score
     if best_score > 0.0:
-        return index.pool[index.first[index.keys[best]]], best_score
-    return _scan(query, seq, bag, index)
-
-
-def _scan(query: CrashReport, seq: tuple[str, ...], bag: Counter,
-          index: SubtraceIndex) -> tuple[LabeledCrash, float]:
-    """``most_similar`` by a scan of the keys in id order: as keys run in
-    first-occurrence order, the first strict maximum is the earliest crash
-    of the best score. A key is skipped when an upper bound on its score
-    cannot beat the best so far: the length difference, then the bag
-    distance, are lower bounds on the edit distance."""
-    best, best_score = None, -1.0
-    for key_bag, (key, position) in zip(index.bags, index.first.items()):
-        longest = max(len(seq), len(key))
-        if longest and (
-            1.0 - abs(len(seq) - len(key)) / longest <= best_score
-            or 1.0 - (longest - shared_frames(bag, key_bag)) / longest <= best_score
-        ):
-            continue
-        score = crash_similarity(query, index.pool[position].report)
-        if score > best_score:
-            best, best_score = position, score
-    return index.pool[best], best_score
+        return index.pool[index.heads[best]], best_score
+    if not seq and () in index.first:
+        return index.pool[index.first[()]], 1.0
+    return index.pool[0], 0.0

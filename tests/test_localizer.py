@@ -417,6 +417,12 @@ def test_locate_builds_each_index_once_until_the_corpus_changes(
     categories = [locate(report, model, corpus, trained, 5).predicted_category
                   for report, model in reports]
     assert categories == [Category.B, Category.C, Category.C, Category.B, Category.C]
+    # A call that fails to categorize leaves the memo to the last good pipeline.
+    bare = NBModel(trained.priors, trained.cond, trained.smoothing)
+    with pytest.raises(LocateError):
+        locate(reports[0][0], geography, corpus, bare, 5)
+    for report, model in reports:
+        locate(report, model, corpus, trained, 5)
     assert builds == {"index_b": 1, "index_c": 1}
     corpus.append(corpus[0])
     for report, model in reports:

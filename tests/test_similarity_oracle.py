@@ -17,8 +17,9 @@ the indexed locators must return the same nearest crash,
 
 ``reference_most_similar`` is the bounded scan kept verbatim: every key in
 id order, skipped when its length or bag bound cannot beat the best so
-far. ``most_similar``, which visits the sharing keys in decreasing bound
-and stops early, must return the same crash and score.
+far. ``most_similar``, which visits the sharing keys in decreasing bound,
+stops early and answers in closed form when no sharing key scores above
+0.0, must return the same crash and score.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ from crashloc.similarity import (
     frame_seq,
     group_by_subtrace,
     most_similar,
-    shared_frames,
 )
 from crashloc.trace import CrashReport
 
@@ -80,6 +80,11 @@ def reference_linear_most_similar(query: CrashReport, pool: Sequence["LabeledCra
         if score > best_score:
             best, best_score = candidate, score
     return best, best_score
+
+
+def shared_frames(a: Counter, b: Counter) -> int:
+    """Size of the multiset intersection of two frame bags (frame -> count)."""
+    return sum(min(a[frame], b[frame]) for frame in a.keys() & b.keys())
 
 
 def reference_most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
@@ -322,8 +327,9 @@ X, Y = POOL_ONLY
 # pool, is the nearest crash.
 @example(pool=_pool_of((X,), (B, A)), query=(A, C))
 @example(pool=_pool_of((X, Y), (Y,)), query=(A,))
-# An empty key and an empty query.
+# An empty key and an empty query; an empty query and no empty key.
 @example(pool=_pool_of((A,), (), ()), query=())
+@example(pool=_pool_of((A,), (B,)), query=())
 @example(pool=_pool_of((), (A,)), query=(A,))
 def test_threshold_search_matches_the_bounded_scan(pool, query):
     report = make_report(framework=query)
@@ -338,8 +344,8 @@ def test_index_is_the_bucketing_of_its_pool(pool):
     index = SubtraceIndex.of(pool)
     groups = group_by_subtrace(pool)
     assert list(index.first) == list(groups)
-    assert index.keys == tuple(groups)
     assert list(index.first.values()) == [positions[0] for positions in groups.values()]
+    assert index.heads == tuple(index.first.values())
     for key_id, positions in enumerate(groups.values()):
         assert [index.key_ids[p] for p in positions] == [key_id] * len(positions)
     for key_id, key in enumerate(groups):
