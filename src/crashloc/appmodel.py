@@ -16,11 +16,12 @@ non-overridden callbacks are inherited callback APIs the class never
 overrides, recorded with their defining framework class and kept nearest
 superclass first (a stable sort of the listed order). Loading validates
 every reference and rejects dangling ones; the loaded model is immutable
-and all queries are pure. The call graph that ``invokers_of``, ``links``
-and ``link_scores`` walk is derived once per model, on the first such
-query, and it keeps the methods reachable from each method within each
-searched depth as a bit mask, filled by one search the first time it is
-asked for.
+and all queries are pure. The call graph that ``invokers_of`` and
+``link_scores`` walk is derived once per model, on the first such query,
+and it keeps the methods reachable from each method within each searched
+depth as a bit mask, filled by one search the first time it is asked for.
+``link_scores`` holds the Category-B linkage rule; ``links`` is its
+one-pair case.
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
 API_KINDS = (API_KIND_CALL_IN, API_KIND_CALLBACK)
 
-# How many invocation hops ``links`` follows unless told otherwise.
+# How many invocation hops the linkage rule (``link_scores``) follows
+# unless told otherwise.
 DEFAULT_LINKS_DEPTH = 5
 
 _METHOD_REF_RE = re.compile(
@@ -325,28 +327,9 @@ def invokers_of(model: AppModel, api: ApiRef) -> list[MethodRef]:
 
 
 def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = DEFAULT_LINKS_DEPTH) -> bool:
-    """True when the two developer methods are plausibly related.
-
-    Any of: (1) ``am`` reaches ``s`` through invocation edges within
-    ``depth`` hops, (2) both are declared in the same class, (3) an
-    instance of ``s``'s declaring class flows into ``am`` as a parameter.
-    Reachability is read from the call graph's memo, so each (``am``,
-    ``depth``) pair is searched once per loaded model.
-    """
-    if s.class_name == am.class_name:
-        return True
-    graph = model.call_graph
-    for callee, class_name in graph.flows.get((am.class_name, am.method_name), ()):
-        if class_name == s.class_name and callee.same_method(am):
-            return True
-    start = graph.ids.get(am.canonical())
-    if start is None:
-        return False
-    mask = graph.reachable(start, depth)
-    for i in graph.by_name.get((s.class_name, s.method_name), ()):
-        if mask >> i & 1 and graph.refs[i].same_method(s):
-            return True
-    return False
+    """True when ``link_scores`` links the developer method ``s`` to ``am``:
+    its one-invoker, one-(d = 1, am) case."""
+    return link_scores(model, (s,), ((1, (am,)),), depth)[0] > 0.0
 
 
 def link_scores(
@@ -357,16 +340,17 @@ def link_scores(
 ) -> list[float]:
     """Each invoker's Category-B score: ``1/d`` for every frame distance d
     and every active method ``am`` of that frame's class (``frames`` gives
-    the (d, active methods) pairs) with ``links(model, s, am, depth)``.
+    the (d, active methods) pairs) that the invoker ``s`` links to.
+
+    ``s`` links to ``am`` when any of: (1) both are declared in the same
+    class, (2) an instance of ``s``'s declaring class flows into ``am`` as
+    a parameter, (3) ``am`` reaches ``s`` within ``depth`` invocation hops.
 
     The invokers' target masks are resolved once; then each (d, am) is one
-    pass over the invokers, which adds ``1/d`` to those of ``am``'s class,
-    to those whose class flows into ``am`` as a parameter, and to those
-    with a target bit in ``reachable(am, depth)``. Each invoker receives
-    its additions in (d, am) order, as a loop calling ``links`` per
-    (invoker, am) adds them, so the sums are the same floats. ``reachable``
-    is asked for once some invoker is linked neither by class nor by a
-    param flow, as ``links`` asks, so the memo fills the same keys.
+    pass over the invokers, adding ``1/d`` in (d, am) order, so each sum is
+    the same float as a per-pair loop's. ``reachable(am, depth)`` is asked
+    for only once some invoker is linked neither by class nor by a param
+    flow, so the memo fills the same keys as a per-pair loop.
     """
     if not invokers:
         return []

@@ -296,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except LocateError as exc:
         _emit_error(exc)
         return EXIT_LOCATE_ERROR
-    except CrashLocError as exc:
-        _emit_error(exc)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (CrashLocError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_INPUT_ERROR
 

@@ -55,7 +55,9 @@ class NBModel:
         for p in (*self.priors, *(p for row in self.cond for p in row)):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"NB probability {p!r} is outside (0, 1) under smoothing "
-                                 f"{self.smoothing!r}; use a larger smoothing")
+                                 f"{self.smoothing!r}: a smoothing too small rounds it to 0 "
+                                 "or 1, and one so large that a smoothed total overflows "
+                                 "rounds it to 0")
 
     @cached_property
     def log_tables(self) -> tuple:

@@ -3,13 +3,17 @@ with the direct computations they replaced.
 
 ``reference_invokers_of`` and ``reference_links`` scan ``model.invocations``
 and ``model.param_flows`` on every call; they are kept here, unchanged, as
-the oracle for ``appmodel.invokers_of`` and ``appmodel.links``.
+the oracle for ``appmodel.invokers_of`` and ``appmodel.links``. Since
+``links`` is the one-pair case of ``appmodel.link_scores``, which alone
+states the linkage rule, ``reference_links`` is the independent oracle of
+that rule.
 ``reference_non_overridden_callbacks`` is the sort the Category-B locator
 once ran per query; applied to a class's callbacks in their listed order,
 it is the oracle for the order in which loading keeps them.
 ``reference_locate_category_b`` is the Category-B locator that called
 ``links`` once per (invoker, active method), kept verbatim; it is the
-oracle for ``appmodel.link_scores``, which the locator now calls.
+oracle for the batched pass of ``link_scores``, which the locator now
+calls: its float order and the reachability memo's keys.
 """
 from __future__ import annotations
 

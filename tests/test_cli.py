@@ -473,6 +473,19 @@ def test_evaluate_with_a_smoothing_too_small_for_a_model_exits_2(tmp_path, where
     assert "Traceback" not in proc.stderr
 
 
+def test_evaluate_with_a_smoothing_so_large_that_counts_overflow_exits_2():
+    # N + 3s overflows to inf, so every prior is 0.0 and a larger smoothing cannot help.
+    proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH), "--smoothing", "1e308")
+    assert proc.returncode == 2, proc.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueError"
+    assert "NB probability 0.0 " in error["message"]
+    assert "smoothing 1e+308" in error["message"]
+    assert "larger" not in error["message"]
+
+
 @pytest.mark.parametrize("command, lines, error", [
     ("train", 0, "EmptyCorpus"),
     ("evaluate", 0, "CorpusTooSmall"),

@@ -135,11 +135,15 @@ _SCALARS = st.one_of(
     st.integers(min_value=-3, max_value=12),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# An explicit alphabet keeps Hypothesis from building its full Unicode table
+# on the first draw, which alone can trip the health check from a cold cache;
+# it still holds every case the prefix rule tells apart: empty, a dot, an
+# ASCII letter, a non-ASCII letter and a space.
 _PREFIXES = st.one_of(
-    st.lists(st.one_of(st.sampled_from(["", "android.", "com."]), st.text(max_size=3),
+    st.lists(st.one_of(st.sampled_from(["", "android.", "com."]), st.text(" .aé", max_size=3),
                        st.integers(), st.none()), max_size=3),
     st.tuples(st.sampled_from(["", "java."])),
-    st.text(max_size=4),
+    st.text(" .aé", max_size=4),
     st.none(),
     st.integers(),
 )
