@@ -11,7 +11,8 @@ Each line holds one labeled crash:
      "sub_category": "Manifest"|... | null,
      "app_model": "relative/path.json" | null}
 
-``app_model`` paths are resolved against the corpus file's directory.
+``app_model`` paths are resolved against the corpus file's directory and
+written relative to it.
 Category-B lines must carry ``api_h``; Category-C lines must carry
 ``sub_category``. An A or B line's ``true_location`` is a method reference
 (``class#method``, optionally ``(sig)``), a C line's a sub-category name.
@@ -19,6 +20,7 @@ Category-B lines must carry ``api_h``; Category-C lines must carry
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -62,31 +64,25 @@ class LabeledCrash:
     app_model: Path | None = None
     crash_log: str = ""
 
-    def to_json_obj(self, base_dir: Path | None = None) -> dict:
-        app_model = self.app_model
-        if app_model is not None and base_dir is not None:
-            try:
-                app_model = app_model.relative_to(base_dir)
-            except ValueError:
-                pass
+    def to_json_obj(self, base_dir: Path) -> dict:
+        """The corpus line of this crash, ``app_model`` written relative to
+        ``base_dir``, the directory of the corpus file it goes into."""
+        app_model = self.app_model and os.path.relpath(self.app_model.resolve(), base_dir.resolve())
         return {
             "crash_log": self.crash_log,
             "category": self.category.value,
             "true_location": self.true_location,
             "api_h": self.api_h.to_json_obj() if self.api_h else None,
             "sub_category": self.sub_category.value if self.sub_category else None,
-            "app_model": str(app_model) if app_model else None,
+            "app_model": app_model,
         }
 
 
 def labeled_crash_from_json(
     obj: dict, matcher: FrameworkMatcher, base_dir: Path | None = None, pointer: str = ""
 ) -> LabeledCrash:
-    for key in ("crash_log", "category", "true_location"):
-        if key not in obj:
-            raise SchemaError(f"corpus entry is missing {key!r}", pointer)
     try:
-        category = Category(obj["category"])
+        category = Category(expect(obj, "category", str, pointer))
     except ValueError:
         raise SchemaError(
             f"category must be A, B or C, got {obj['category']!r}", f"{pointer}/category"
@@ -154,6 +150,7 @@ def load_corpus(path: str | Path, matcher: FrameworkMatcher) -> list[LabeledCras
     return crashes
 
 
-def save_corpus(path: str | Path, crashes: list[LabeledCrash], base_dir: Path | None = None) -> None:
+def save_corpus(path: str | Path, crashes: list[LabeledCrash]) -> None:
+    base_dir = Path(path).parent
     lines = [json.dumps(c.to_json_obj(base_dir), ensure_ascii=False) for c in crashes]
     write_text(path, "\n".join(lines) + "\n", "corpus")

@@ -35,13 +35,10 @@ def tokenize(report: CrashReport) -> set[str]:
 @dataclass(frozen=True)
 class Vocabulary:
     words: tuple[str, ...]
-    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = {w: i for i, w in enumerate(self.words)}
-        if len(idx) != len(self.words):
+        if len(set(self.words)) != len(self.words):
             raise ValueError("vocabulary contains duplicate words")
-        object.__setattr__(self, "index", idx)
 
     def __len__(self) -> int:
         return len(self.words)

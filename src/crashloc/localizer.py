@@ -30,7 +30,7 @@ from .appmodel import (
     parse_method_ref,
 )
 from .corpus import SUB_CATEGORIES, Category, LabeledCrash, SubCategory
-from .errors import CrashLocError, EmptyPool, LocateError
+from .errors import CrashLocError, EmptyPool, LocateError, SchemaError
 from .nb import NBModel, certified_argmax, predict
 from .features import set_bits, vectorize
 from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
@@ -80,19 +80,23 @@ class LocalizationResult:
         return None
 
 
+def _first_occurrences(candidates) -> tuple[tuple[MethodRef, float], ...]:
+    """``(method, score)`` candidates in frame order, keeping the first of each
+    canonical name."""
+    ranked: dict[str, tuple[MethodRef, float]] = {}
+    for ref, score in candidates:
+        ranked.setdefault(ref.canonical(), (ref, score))
+    return tuple(ranked.values())
+
+
 def locate_category_a(report: CrashReport) -> LocalizationResult:
     """Developer frames in stack order, scored 1/position."""
-    ranked = []
-    seen = set()
-    for position, frame in enumerate(report.developer_frames, 1):
-        ref = MethodRef(frame.class_name, frame.method_name)
-        if ref.canonical() in seen:
-            continue
-        seen.add(ref.canonical())
-        ranked.append((ref, 1.0 / position))
     return LocalizationResult(
         predicted_category=Category.A,
-        ranked=tuple(ranked),
+        ranked=_first_occurrences([
+            (MethodRef(frame.class_name, frame.method_name), 1.0 / position)
+            for position, frame in enumerate(report.developer_frames, 1)
+        ]),
         provenance={"strategy": "stack_order"},
     )
 
@@ -104,7 +108,7 @@ def infer_handled_api(report: CrashReport, training_b: Pool) -> tuple[ApiRef, di
         raise EmptyPool("no Category-B training crashes to infer the handled API from")
     for i, crash in enumerate(index.pool):
         if crash.api_h is None:
-            raise ValueError(f"training crash {i} carries no handled-API label")
+            raise SchemaError(f"training crash {i} carries no handled-API label")
     nearest, score = most_similar(report, index)
     provenance = {
         "strategy": "nearest_crash",
@@ -142,32 +146,26 @@ def locate_category_b(
     """
     api, provenance = infer_handled_api(report, training_b)
 
-    ranked: list[tuple[Location, float]]
     if api.kind == API_KIND_CALL_IN:
         invokers = invokers_of(model, api)
         # Invokers are unique by canonical name, so one score per position.
         frames = [(d, cdef.active_methods) for d, _, cdef in _known_frames(report, model)]
         scores = link_scores(model, invokers, frames, depth)
-        ranked = sorted(
+        ranked = tuple(sorted(
             ((s, score) for s, score in zip(invokers, scores) if score > 0),
             key=lambda pair: -pair[1],
-        )
+        ))
     else:
-        ranked = []
-        seen = set()
-        for d, frame, cdef in _known_frames(report, model):
-            for nc in cdef.non_overridden_callbacks:
-                if not inherits_from(model, nc, api):
-                    continue
-                suggestion = MethodRef(frame.class_name, nc.method_name, nc.signature)
-                if suggestion.canonical() in seen:
-                    continue
-                seen.add(suggestion.canonical())
-                ranked.append((suggestion, 1.0 / d))
+        ranked = _first_occurrences([
+            (MethodRef(frame.class_name, nc.method_name, nc.signature), 1.0 / d)
+            for d, frame, cdef in _known_frames(report, model)
+            for nc in cdef.non_overridden_callbacks
+            if inherits_from(model, nc, api)
+        ])
 
     return LocalizationResult(
         predicted_category=Category.B,
-        ranked=tuple(ranked),
+        ranked=ranked,
         provenance=provenance,
     )
 
@@ -190,7 +188,7 @@ def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResu
     counts: dict[SubCategory, int] = {}
     for i, (crash, key_id) in enumerate(zip(index.pool, index.key_ids)):
         if crash.sub_category is None:
-            raise ValueError(f"training crash {i} carries no sub-category label")
+            raise SchemaError(f"training crash {i} carries no sub-category label")
         sums[crash.sub_category] = sums.get(crash.sub_category, 0.0) + key_scores[key_id]
         counts[crash.sub_category] = counts.get(crash.sub_category, 0) + 1
     means = {sub: sums[sub] / counts[sub] for sub in sums}

@@ -283,20 +283,29 @@ def test_bad_api_kind_rejected():
         _model(apis=[{"class_name": "a.B", "method_name": "m", "kind": "weird"}])
 
 
-@pytest.mark.parametrize("kwargs, pointer", [
-    ({"apis": [{"class_name": "a.B", "method_name": "m", "kind": 5}]}, "/apis/0/kind"),
-    ({"apis": [{"class_name": 5, "method_name": "m", "kind": "call-in"}]}, "/apis/0/class_name"),
-    ({"apis": ["a.B#m"]}, "/apis/0"),
-    ({"classes": [_class("a.B", supers=[5])]}, "/classes/0/superclasses/0"),
-    ({"classes": [_class("a.B", active=["a.B#m()", "a.B#m( )"])]}, "/classes/0/active_methods/1"),
+@pytest.mark.parametrize("kwargs, pointer, message", [
+    ({"apis": [{"class_name": "a.B", "method_name": "m", "kind": 5}]}, "/apis/0/kind",
+     "key 'kind' must be str, got int"),
+    ({"apis": [{"class_name": 5, "method_name": "m", "kind": "call-in"}]}, "/apis/0/class_name",
+     "key 'class_name' must be str, got int"),
+    ({"apis": ["a.B#m"]}, "/apis/0", "value must be dict, got str"),
+    ({"classes": [_class("a.B", supers=[5])]}, "/classes/0/superclasses/0",
+     "item must be str, got int"),
+    ({"classes": [_class("a.B", active=["a.B#m()", "a.B#m( )"])]}, "/classes/0/active_methods/1",
+     "method 'a.B#m()' declared twice"),
     ({"classes": [_class("a.B", supers=["a.S"], active=["a.B#m", "a.B#m()"],
-                         ncs=["a.S#m", "a.S#m()"])]}, "/classes/0"),
+                         ncs=["a.S#m", "a.S#m()"])]}, "/classes/0",
+     "methods both active and non-overridden in 'a.B': [('m', ()), ('m', None)]"),
+    ({"classes": [_class("a.B"), _class("a.C"), _class("a.B")]}, "/classes/2/name",
+     "class 'a.B' declared twice"),
+    ({"classes": [_class("a.B", active=["a.B#m()", "a.C#m()"])]}, "/classes/0/active_methods/1",
+     "active method 'a.C#m()' is not declared in 'a.B'"),
 ], ids=["api-kind", "api-class", "api-not-object", "superclass", "declared-twice",
-        "active-and-callback"])
-def test_mistyped_or_conflicting_entries_rejected_with_pointer(kwargs, pointer):
+        "active-and-callback", "class-declared-twice", "active-in-another-class"])
+def test_mistyped_or_conflicting_entries_rejected_with_pointer(kwargs, pointer, message):
     with pytest.raises(SchemaError) as exc:
         _model(**kwargs)
-    assert exc.value.pointer == pointer
+    assert (exc.value.pointer, exc.value.message) == (pointer, message)
 
 
 def test_load_rejects_non_json(tmp_path):

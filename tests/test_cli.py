@@ -146,7 +146,7 @@ def test_evaluate_perfect_categorization_flag():
     assert report["mrr"] == 1.0
 
 
-def test_evaluate_pretty_and_jobs():
+def test_evaluate_pretty_ends_with_the_bucket_summary():
     proc = run_cli("evaluate", "--corpus", str(CORPUS_PATH), "--seed", "0", "--pretty")
     assert proc.returncode == 0, proc.stderr
     assert "Localization end to end" in proc.stdout

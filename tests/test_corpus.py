@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from crashloc.config import Config
 from crashloc.corpus import labeled_crash_from_json, load_corpus, save_corpus
 from crashloc.errors import SchemaError
+from crashloc.evaluation import evaluate
 from crashloc.localizer import SubCategory
 from crashloc.nb import Category
 
-from conftest import CORPUS_PATH
+from conftest import APP_MODELS, CORPUS_PATH
 
 
 def test_synthetic_corpus_loads_with_expected_composition(corpus):
@@ -37,6 +42,27 @@ def test_corpus_roundtrip(tmp_path, corpus, matcher):
         assert (a.category, a.true_location, a.api_h, a.sub_category) == (
             b.category, b.true_location, b.api_h, b.sub_category
         )
+
+
+@pytest.mark.parametrize("out", ["fixtures/saved/copy.jsonl", "fixtures/corpus/sub/copy.jsonl",
+                                 "fixtures/copy.jsonl"], ids=["sibling", "subdirectory", "parent"])
+def test_saved_app_model_paths_resolve_from_the_saved_file(tmp_path, monkeypatch, matcher, out):
+    # The corpus is loaded through a relative path, so each app_model is relative to the
+    # working directory, and the copy goes into a directory other than the corpus's.
+    shutil.copytree(CORPUS_PATH.parent, tmp_path / "fixtures" / "corpus")
+    shutil.copytree(APP_MODELS, tmp_path / "fixtures" / "app_models")
+    monkeypatch.chdir(tmp_path)
+    original = load_corpus(Path("fixtures/corpus") / CORPUS_PATH.name, matcher)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    save_corpus(out, original)
+    again = load_corpus(out, matcher)
+    assert len(again) == len(original)
+    for a, b in zip(original, again):
+        assert (a.app_model is None) == (b.app_model is None)
+        if a.app_model is not None:
+            assert b.app_model.resolve() == a.app_model.resolve()
+        assert dataclasses.replace(a, app_model=None) == dataclasses.replace(b, app_model=None)
+    assert evaluate(again, Config()).to_json() == evaluate(original, Config()).to_json()
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
@@ -72,8 +98,6 @@ def _entry(**overrides):
 
 def test_entry_validation_errors(matcher):
     with pytest.raises(SchemaError):
-        labeled_crash_from_json(_entry(category="D"), matcher)
-    with pytest.raises(SchemaError):
         labeled_crash_from_json(_entry(category="B"), matcher)  # api_h required
     with pytest.raises(SchemaError):
         labeled_crash_from_json(_entry(category="C"), matcher)  # sub_category required
@@ -89,10 +113,25 @@ def test_entry_validation_errors(matcher):
         with pytest.raises(SchemaError) as exc:
             labeled_crash_from_json(_entry(**{key: value}), matcher, pointer="/3")
         assert exc.value.pointer.startswith(f"/3/{key}")
-    with pytest.raises(SchemaError):
-        entry = _entry()
-        del entry["true_location"]
-        labeled_crash_from_json(entry, matcher)
+
+
+@pytest.mark.parametrize("key", ["crash_log", "category", "true_location"])
+def test_missing_key_is_reported_at_the_entry(matcher, key):
+    entry = _entry()
+    del entry[key]
+    with pytest.raises(SchemaError) as exc:
+        labeled_crash_from_json(entry, matcher, pointer="/3")
+    assert (exc.value.pointer, exc.value.message) == ("/3", f"missing key {key!r}")
+
+
+@pytest.mark.parametrize("category, message", [
+    ("D", "category must be A, B or C, got 'D'"),
+    (["A"], "key 'category' must be str, got list"),
+], ids=["unknown", "not-a-string"])
+def test_bad_category_is_reported_at_its_key(matcher, category, message):
+    with pytest.raises(SchemaError) as exc:
+        labeled_crash_from_json(_entry(category=category), matcher, pointer="/3")
+    assert (exc.value.pointer, exc.value.message) == ("/3/category", message)
 
 
 @pytest.mark.parametrize("category, true_location", [
@@ -123,6 +162,24 @@ def test_app_model_paths_resolve_against_corpus_dir(tmp_path, matcher):
     path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
     crash = load_corpus(path, matcher)[0]
     assert crash.app_model == tmp_path / "models/app.json"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "corpus line 4 must be a JSON object"),
+    ("not-json", "corpus line 4 is not valid JSON: "),
+], ids=["not-an-object", "not-json"])
+def test_blank_lines_are_skipped_but_counted(tmp_path, matcher, line, message):
+    path = tmp_path / "corpus.jsonl"
+    lines = [json.dumps(_entry()), "", "  \t", json.dumps(_entry(true_location="com.app.d.Main#x"))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert [c.true_location for c in load_corpus(path, matcher)] == [
+        "com.app.d.Main#go", "com.app.d.Main#x"
+    ]
+    lines[3] = line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_corpus(path, matcher)
+    assert exc.value.pointer == "/3" and exc.value.message.startswith(message)
 
 
 def test_malformed_jsonl_reports_line(tmp_path, matcher):

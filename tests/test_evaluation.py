@@ -12,6 +12,7 @@ from crashloc.config import Config
 from crashloc.corpus import LabeledCrash
 from crashloc.errors import CorpusTooSmall, EmptySet
 from crashloc.evaluation import (
+    XorShift64Star,
     bucketize,
     evaluate,
     kfold_indices,
@@ -108,6 +109,12 @@ def test_kfold_too_small():
 def test_shuffle_is_a_permutation():
     out = shuffled_indices(100, seed=7)
     assert sorted(out) == list(range(100))
+
+
+def test_seed_that_zeroes_the_state_shuffles_like_seed_zero():
+    # seed XOR 0x9E3779B97F4A7C15 is 0 here, and 0 is replaced by the constant itself.
+    assert XorShift64Star(0x9E3779B97F4A7C15).state == XorShift64Star(0).state
+    assert shuffled_indices(50, 0x9E3779B97F4A7C15) == shuffled_indices(50, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +275,19 @@ def test_evaluate_records_locate_failures(corpus):
     }
     assert report.mrr < 1.0
     assert report.localization["perfect_categorization"]["per_category"]["B"]["mrr"] == 0.0
+
+
+def test_evaluate_records_unlabeled_training_crashes_as_failures(corpus):
+    unlabeled = [replace(c, api_h=None, sub_category=None) for c in corpus]
+    report = evaluate(unlabeled, Config())
+    messages = {Category.B: "training crash 0 carries no handled-API label",
+                Category.C: "training crash 0 carries no sub-category label"}
+    assert [f for f in report.failures if f["protocol"] == "perfect_categorization"] == [
+        {"index": i, "protocol": "perfect_categorization", "phase": "locate",
+         "error": "SchemaError", "message": messages[c.category]}
+        for i, c in enumerate(corpus) if c.category in messages
+    ]
+    assert {(f["phase"], f["error"]) for f in report.failures} == {("locate", "SchemaError")}
 
 
 def _count_locate_as(monkeypatch) -> list:

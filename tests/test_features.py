@@ -74,7 +74,6 @@ def test_build_vocabulary_first_occurrence_order():
     c2 = _labeled(make_report(exception="b.c", framework=()))
     vocab = build_vocabulary([c1, c2])
     assert vocab.words == ("a", "b", "c")
-    assert vocab.index == {"a": 0, "b": 1, "c": 2}
 
 
 def test_build_vocabulary_single_crash():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -12,7 +13,7 @@ from crashloc import localizer
 from crashloc.appmodel import ApiRef, CallGraph, app_model_from_json, load_app_model
 from crashloc.config import Config
 from crashloc.corpus import LabeledCrash, load_corpus
-from crashloc.errors import CrashLocError, EmptyPool, LocateError, NoDeveloperFrame
+from crashloc.errors import CrashLocError, EmptyPool, LocateError, NoDeveloperFrame, SchemaError
 from crashloc.evaluation import fit
 from crashloc.features import build_vocabulary, chi_square_select, vectorize
 from crashloc.localizer import (
@@ -364,6 +365,17 @@ def test_pipeline_dispatch_raises_raw_errors_and_locate_wraps_them(corpus_module
         locate(report, None, no_c, trained)
     assert exc.value.phase == "locate"
     assert isinstance(exc.value.__cause__, EmptyPool)
+
+
+def test_unlabeled_training_crash_fails_in_locate(corpus_module, trained, matcher, geography):
+    unlabeled = [replace(c, api_h=None, sub_category=None) for c in corpus_module]
+    for log, label in (("b_geography_service.log", "handled-API"),
+                       ("c_manifest_permission.log", "sub-category")):
+        with pytest.raises(LocateError) as exc:
+            locate(_crash(log, matcher), geography, unlabeled, trained)
+        assert exc.value.phase == "locate"
+        assert str(exc.value) == f"[locate] training crash 0 carries no {label} label"
+        assert isinstance(exc.value.__cause__, SchemaError)
 
 
 def test_locate_without_a_vocabulary_fails_in_categorize(corpus_module, trained, matcher):

@@ -1,4 +1,6 @@
-"""The package's module structure: ``crashloc`` imports itself without cycles."""
+"""The package's module structure: ``crashloc`` imports itself without cycles,
+and each name a module imports but never uses is one that ``bench/tracer.py``
+wraps there."""
 from __future__ import annotations
 
 import ast
@@ -6,6 +8,13 @@ import ast
 from conftest import REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "crashloc"
+
+# Imported only so that bench/tracer.py can wrap them under these names.
+TRACER_ONLY_IMPORTS = {
+    "evaluation": {"vectorize", "locate_category_a", "locate_category_b", "locate_category_c",
+                   "predict", "train_nb"},
+    "localizer": {"links"},
+}
 
 
 def _relative_imports(path) -> set[str]:
@@ -38,3 +47,31 @@ def test_package_import_graph_is_acyclic():
 
     for module in graph:
         visit(module, [])
+
+
+def _unused_imports(path) -> set[str]:
+    """The names that ``path`` binds by an import and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_only_the_tracer_targets_are_imported_unused():
+    unused = {path.stem: _unused_imports(path)
+              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    assert {module: names for module, names in unused.items() if names} == TRACER_ONLY_IMPORTS
+
+
+def test_each_tracer_only_import_is_a_tracer_target():
+    tree = ast.parse((REPO_ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    [targets] = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    traced = {dotted for names in targets.values() for dotted in names}
+    for module, names in TRACER_ONLY_IMPORTS.items():
+        for name in names:
+            assert f"crashloc.{module}.{name}" in traced

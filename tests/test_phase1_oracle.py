@@ -266,7 +266,7 @@ def test_word_present_in_every_crash():
     corpus = [_crash("java.lang.alpha", "alpha", (), category) for category in CATEGORIES]
     corpus.append(_crash("java.lang.alpha", "alpha beta", (), Category.B))
     sel = _assert_selections_equal(corpus, build_vocabulary(corpus), 1.0)
-    assert sel.scores[sel.base.index["alpha"]] == 0.0
+    assert sel.scores[sel.base.words.index("alpha")] == 0.0
     _assert_phase1_equal(corpus, build_vocabulary(corpus), 1.0)
 
 
