@@ -187,22 +187,32 @@ class CallGraph:
 
 
 def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") -> MethodRef:
-    m = _METHOD_REF_RE.match(text)
-    if m is None:
-        raise SchemaError(f"bad method reference {text!r}, expected class#method(sig)", pointer)
-    sig_text = m.group("sig")
+    # The common ``cls#method`` and ``cls#method(sig)`` forms are split with
+    # str.partition. The fast path takes only a text that the regex matches
+    # with the same groups; the rest, errors included, goes to the regex.
+    # The regex's ``$`` also matches before a trailing "\n", so "c#m(s)\n"
+    # falls back, and its signature group allows "#".
+    cls, _, rest = text.partition("#")
+    if rest.endswith(")"):
+        method, paren, sig_text = rest[:-1].partition("(")
+        fast = paren and "(" not in sig_text and ")" not in sig_text
+    else:
+        method, sig_text = rest, None
+        fast = "(" not in method
+    if not (fast and cls and method and "(" not in cls and ")" not in cls
+            and "#" not in method and ")" not in method):
+        m = _METHOD_REF_RE.match(text)
+        if m is None:
+            raise SchemaError(f"bad method reference {text!r}, expected class#method(sig)",
+                              pointer)
+        cls, method, sig_text = m.group("cls", "method", "sig")
     if sig_text is None:
         signature = None
     elif not sig_text.strip():
         signature = ()
     else:
         signature = tuple(part.strip() for part in sig_text.split(","))
-    return MethodRef(
-        class_name=m.group("cls"),
-        method_name=m.group("method"),
-        signature=signature,
-        is_developer=is_developer,
-    )
+    return MethodRef(cls, method, signature, is_developer)
 
 
 def load_app_model(path: str | Path) -> AppModel:
@@ -213,6 +223,22 @@ def load_app_model(path: str | Path) -> AppModel:
 
 
 def app_model_from_json(obj: dict) -> AppModel:
+    # Each distinct reference text is parsed once per load: by (text,
+    # developer flag) in the class pass, and by text once resolved against
+    # the declarations. A reference's pointer is built only for its error.
+    parsed: dict = {}  # (text, is_developer) -> MethodRef
+    resolved: dict = {}  # text -> the declared method, or the API a callee names
+
+    def parse(text: str, is_developer: bool, pointer: str, key) -> MethodRef:
+        ref = parsed.get((text, is_developer))
+        if ref is None:
+            try:
+                ref = parse_method_ref(text, is_developer)
+            except SchemaError as exc:
+                raise SchemaError(exc.message, f"{pointer}/{key}") from None
+            parsed[text, is_developer] = ref
+        return ref
+
     classes: dict = {}
     declared: set = set()  # canonical strings of the active methods
     for ci, centry in enumerate(expect(obj, "classes", list, "")):
@@ -223,31 +249,31 @@ def app_model_from_json(obj: dict) -> AppModel:
         supers = tuple(expect_items(expect(centry, "superclasses", list, ptr), str,
                                     f"{ptr}/superclasses"))
         active = []
-        active_texts = expect_items(expect(centry, "active_methods", list, ptr), str,
-                                    f"{ptr}/active_methods")
-        for mi, mtext in enumerate(active_texts):
-            mptr = f"{ptr}/active_methods/{mi}"
-            ref = parse_method_ref(mtext, True, mptr)
+        aptr = f"{ptr}/active_methods"
+        for mi, mtext in enumerate(expect_items(expect(centry, "active_methods", list, ptr),
+                                                str, aptr)):
+            ref = parse(mtext, True, aptr, mi)
+            canonical = ref.canonical()
             if ref.class_name != name:
-                raise SchemaError(f"active method {ref.canonical()!r} is not declared in {name!r}",
-                                  mptr)
-            if ref.canonical() in declared:
-                raise SchemaError(f"method {ref.canonical()!r} declared twice", mptr)
-            declared.add(ref.canonical())
+                raise SchemaError(f"active method {canonical!r} is not declared in {name!r}",
+                                  f"{aptr}/{mi}")
+            if canonical in declared:
+                raise SchemaError(f"method {canonical!r} declared twice", f"{aptr}/{mi}")
+            declared.add(canonical)
+            resolved[mtext] = ref
             active.append(ref)
         # A superclass listed twice ranks at its last position.
         chain_pos = {cls: i for i, cls in enumerate(supers)}
         ncs = []
-        nc_texts = expect_items(expect(centry, "non_overridden_callbacks", list, ptr), str,
-                                f"{ptr}/non_overridden_callbacks")
-        for mi, mtext in enumerate(nc_texts):
-            nptr = f"{ptr}/non_overridden_callbacks/{mi}"
-            ref = parse_method_ref(mtext, False, nptr)
+        nptr = f"{ptr}/non_overridden_callbacks"
+        for mi, mtext in enumerate(expect_items(
+                expect(centry, "non_overridden_callbacks", list, ptr), str, nptr)):
+            ref = parse(mtext, False, nptr, mi)
             if ref.class_name not in chain_pos:
                 raise DanglingRef(
                     f"callback {ref.canonical()!r} is defined outside the "
                     f"superclass chain of {name!r}",
-                    nptr,
+                    f"{nptr}/{mi}",
                 )
             ncs.append(ref)
         overlap = {(m.method_name, m.signature) for m in active} & {
@@ -270,40 +296,35 @@ def app_model_from_json(obj: dict) -> AppModel:
     )
     api_names = {(a.class_name, a.method_name) for a in apis}
 
-    def declared_method(text: str, what: str, pointer: str) -> MethodRef:
-        ref = parse_method_ref(text, True, pointer)
-        if ref.canonical() not in declared:
-            raise DanglingRef(f"{what} {ref.canonical()!r} is not a declared method", pointer)
+    def resolve(text: str, what: str, pointer: str, key) -> MethodRef:
+        """The declared method ``text`` names; for a callee, else the API it names."""
+        ref = resolved.get(text)
+        if ref is None:
+            ref = parse(text, True, pointer, key)
+            if ref.canonical() not in declared:
+                if what != "callee" or (ref.class_name, ref.method_name) not in api_names:
+                    raise _undeclared(ref, what, f"{pointer}/{key}")
+                ref = MethodRef(ref.class_name, ref.method_name, ref.signature, False)
+            resolved[text] = ref
+        elif not ref.is_developer and what != "callee":
+            raise _undeclared(ref, what, f"{pointer}/{key}")
         return ref
-
-    def resolve_callee(ref: MethodRef, pointer: str) -> MethodRef:
-        if ref.canonical() in declared:
-            return ref
-        if (ref.class_name, ref.method_name) in api_names:
-            return MethodRef(ref.class_name, ref.method_name, ref.signature, is_developer=False)
-        raise DanglingRef(
-            f"callee {ref.canonical()!r} resolves to neither a declared method "
-            "nor a declared API",
-            pointer,
-        )
 
     invocations = []
     for ii, ientry in enumerate(expect(obj, "invocations", list, "")):
         ptr = f"/invocations/{ii}"
-        caller = declared_method(expect(ientry, "caller", str, ptr), "caller", f"{ptr}/caller")
-        callee_texts = expect_items(expect(ientry, "callees", list, ptr), str, f"{ptr}/callees")
+        caller = resolve(expect(ientry, "caller", str, ptr), "caller", ptr, "caller")
+        cptr = f"{ptr}/callees"
         callees = tuple(
-            resolve_callee(parse_method_ref(c, True, f"{ptr}/callees/{ci}"),
-                           f"{ptr}/callees/{ci}")
-            for ci, c in enumerate(callee_texts)
+            resolve(c, "callee", cptr, ci)
+            for ci, c in enumerate(expect_items(expect(ientry, "callees", list, ptr), str, cptr))
         )
         invocations.append((caller, callees))
 
     param_flows = []
     for pi, pentry in enumerate(expect(obj, "param_flows", list, "")):
         ptr = f"/param_flows/{pi}"
-        callee = declared_method(expect(pentry, "callee", str, ptr), "param flow callee",
-                                 f"{ptr}/callee")
+        callee = resolve(expect(pentry, "callee", str, ptr), "param flow callee", ptr, "callee")
         position = expect(pentry, "position", int, ptr)
         if position < 0:
             raise SchemaError("position must be >= 0", f"{ptr}/position")
@@ -315,6 +336,16 @@ def app_model_from_json(obj: dict) -> AppModel:
         param_flows=tuple(param_flows),
         apis=apis,
     )
+
+
+def _undeclared(ref: MethodRef, what: str, pointer: str) -> DanglingRef:
+    if what == "callee":
+        return DanglingRef(
+            f"callee {ref.canonical()!r} resolves to neither a declared method "
+            "nor a declared API",
+            pointer,
+        )
+    return DanglingRef(f"{what} {ref.canonical()!r} is not a declared method", pointer)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     summary = None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        first_line = stripped.splitlines()[0].strip()
+        first_line = stripped.split("\n", 1)[0].strip()
         try:
             looks_jsonl = "crash_log" in parse_json(first_line, "first line")
         except SchemaError:

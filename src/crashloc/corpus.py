@@ -139,7 +139,9 @@ def load_corpus(path: str | Path, matcher: FrameworkMatcher) -> list[LabeledCras
     text = read_text(path, "corpus")
     crashes = []
     with naming("corpus", path):
-        for li, line in enumerate(text.splitlines()):
+        # Records end at "\n" only: str.splitlines would also split at the
+        # U+2028, U+2029 and U+0085 that save_corpus leaves raw in a string.
+        for li, line in enumerate(text.split("\n")):
             if not line.strip():
                 continue
             pointer = f"/{li}"

@@ -33,7 +33,6 @@ _FRAME_RE = re.compile(
     r"^\s*at\s+(?P<cls>[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)+)"
     r"\.(?P<method>[\w$<>]+)\((?P<loc>.*)\)\s*$"
 )
-_FILE_LINE_RE = re.compile(r"^(?P<file>.+):(?P<line>\d+)$")
 _CAUSED_BY_RE = re.compile(r"^\s*Caused by:")
 
 
@@ -127,22 +126,14 @@ class CrashReport:
         return self.framework_subtrace[-1] if self.framework_subtrace else None
 
 
-def _parse_location(loc: str) -> tuple[str | None, int | None]:
-    if not loc:
-        return None, None
-    m = _FILE_LINE_RE.match(loc)
-    if m:
-        return m.group("file"), int(m.group("line"))
-    return loc, None
-
-
 def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
     """Parse raw crash text into a CrashReport, labeling frames via the matcher.
 
     Raises MissingException if the first non-blank line carries no dotted
-    exception type, MalformedLog if no frame line parses, and
-    NoDeveloperFrame when every frame matches a framework prefix. Lines
-    after the first ``Caused by:`` are discarded.
+    exception type, MalformedLog if no frame line parses or a frame's line
+    number is too long for ``int``, and NoDeveloperFrame when every frame
+    matches a framework prefix. Lines after the first ``Caused by:`` are
+    discarded.
     """
     lines = text.splitlines()
     for start, first in enumerate(lines):
@@ -158,21 +149,26 @@ def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
     frames: list[StackFrame] = []
     developer: list[StackFrame] = []
     for raw in lines[start + 1:]:
-        if _CAUSED_BY_RE.match(raw):
+        if "Caused by:" in raw and _CAUSED_BY_RE.match(raw):
             break
         m = _FRAME_RE.match(raw)
         if m is None:
             continue
-        file, line = _parse_location(m.group("loc"))
-        frame = StackFrame(
-            class_name=m.group("cls"),
-            method_name=m.group("method"),
-            file=file,
-            line=line,
-            index=len(frames),
-        )
+        cls, method, file = m.group("cls", "method", "loc")
+        # "<file>:<line>" when the text after the last colon is all decimal
+        # digits (Unicode Nd, as the regex ``\d``) and the file is not empty.
+        name, _, digits = file.rpartition(":")
+        if name and digits.isdecimal():
+            try:
+                file, line = name, int(digits)
+            except ValueError:
+                raise MalformedLog(f"frame {len(frames)} has a line number of "
+                                   f"{len(digits)} digits, too long to read") from None
+        else:
+            file, line = file or None, None
+        frame = StackFrame(cls, method, file, line, len(frames))
         frames.append(frame)
-        if not matcher.is_framework(frame.class_name):
+        if not matcher.is_framework(cls):
             developer.append(frame)
     if not frames:
         raise MalformedLog("no 'at <class>.<method>(...)' line found")

@@ -73,3 +73,16 @@ def make_report(
     for i, name in enumerate(framework + developer + trailing):
         lines.append(f"\tat {name}(Source.java:{10 + i})")
     return parse_and_split("\n".join(lines) + "\n", FrameworkMatcher())
+
+
+def json_fields(value, path=()):
+    """The path of every object member and array item inside ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from json_fields(child, path + (key,))

@@ -1,5 +1,5 @@
-"""The indexed call-graph queries and the load-time callback order agree
-with the direct computations they replaced.
+"""The indexed call-graph queries, the load-time callback order and the
+one-pass loader agree with the direct computations they replaced.
 
 ``reference_invokers_of`` and ``reference_links`` scan ``model.invocations``
 and ``model.param_flows`` on every call; they are kept here, unchanged, as
@@ -14,10 +14,19 @@ it is the oracle for the order in which loading keeps them.
 ``links`` once per (invoker, active method), kept verbatim; it is the
 oracle for the batched pass of ``link_scores``, which the locator now
 calls: its float order and the reachability memo's keys.
+``reference_parse_method_ref`` is the regex-only reference parser, and
+``reference_app_model_from_json`` the loader that parsed every reference
+occurrence with it, kept verbatim but for the name of the parser it calls;
+they are the oracles for ``parse_method_ref``'s ``str.partition`` path and
+for the loader that parses each distinct reference text once.
 """
 from __future__ import annotations
 
+import copy
 import json
+import re
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +36,7 @@ from crashloc.appmodel import (
     DEFAULT_LINKS_DEPTH,
     ApiRef,
     AppModel,
+    ClassDef,
     MethodRef,
     app_model_from_json,
     inherits_from,
@@ -36,6 +46,7 @@ from crashloc.appmodel import (
     parse_method_ref,
 )
 from crashloc.corpus import Category, LabeledCrash
+from crashloc.errors import DanglingRef, SchemaError, expect, expect_items
 from crashloc.localizer import (
     LocalizationResult,
     Location,
@@ -46,7 +57,7 @@ from crashloc.localizer import (
 from crashloc.similarity import Pool
 from crashloc.trace import CrashReport
 
-from conftest import APP_MODELS, make_report
+from conftest import APP_MODELS, json_fields, make_report
 
 DEPTHS = range(7)
 
@@ -456,3 +467,264 @@ def test_category_b_scores_match_the_links_loop(obj, frame_classes, api, depth):
     actual = locate_category_b(report, model, pool, depth)
     assert json.dumps(actual.to_json_obj()) == json.dumps(expected.to_json_obj())
     assert set(model.call_graph.reach) == set(reference_model.call_graph.reach)
+
+
+# ---------------------------------------------------------------------------
+# Loading
+# ---------------------------------------------------------------------------
+
+_METHOD_REF_RE = re.compile(
+    r"^(?P<cls>[^#()]+)#(?P<method>[^#()]+)(?:\((?P<sig>[^()]*)\))?$"
+)
+
+
+def reference_parse_method_ref(text: str, is_developer: bool = True,
+                               pointer: str = "") -> MethodRef:
+    m = _METHOD_REF_RE.match(text)
+    if m is None:
+        raise SchemaError(f"bad method reference {text!r}, expected class#method(sig)", pointer)
+    sig_text = m.group("sig")
+    if sig_text is None:
+        signature = None
+    elif not sig_text.strip():
+        signature = ()
+    else:
+        signature = tuple(part.strip() for part in sig_text.split(","))
+    return MethodRef(
+        class_name=m.group("cls"),
+        method_name=m.group("method"),
+        signature=signature,
+        is_developer=is_developer,
+    )
+
+
+def reference_app_model_from_json(obj: dict) -> AppModel:
+    classes: dict = {}
+    declared: set = set()  # canonical strings of the active methods
+    for ci, centry in enumerate(expect(obj, "classes", list, "")):
+        ptr = f"/classes/{ci}"
+        name = expect(centry, "name", str, ptr)
+        if name in classes:
+            raise SchemaError(f"class {name!r} declared twice", f"{ptr}/name")
+        supers = tuple(expect_items(expect(centry, "superclasses", list, ptr), str,
+                                    f"{ptr}/superclasses"))
+        active = []
+        active_texts = expect_items(expect(centry, "active_methods", list, ptr), str,
+                                    f"{ptr}/active_methods")
+        for mi, mtext in enumerate(active_texts):
+            mptr = f"{ptr}/active_methods/{mi}"
+            ref = reference_parse_method_ref(mtext, True, mptr)
+            if ref.class_name != name:
+                raise SchemaError(f"active method {ref.canonical()!r} is not declared in {name!r}",
+                                  mptr)
+            if ref.canonical() in declared:
+                raise SchemaError(f"method {ref.canonical()!r} declared twice", mptr)
+            declared.add(ref.canonical())
+            active.append(ref)
+        # A superclass listed twice ranks at its last position.
+        chain_pos = {cls: i for i, cls in enumerate(supers)}
+        ncs = []
+        nc_texts = expect_items(expect(centry, "non_overridden_callbacks", list, ptr), str,
+                                f"{ptr}/non_overridden_callbacks")
+        for mi, mtext in enumerate(nc_texts):
+            nptr = f"{ptr}/non_overridden_callbacks/{mi}"
+            ref = reference_parse_method_ref(mtext, False, nptr)
+            if ref.class_name not in chain_pos:
+                raise DanglingRef(
+                    f"callback {ref.canonical()!r} is defined outside the "
+                    f"superclass chain of {name!r}",
+                    nptr,
+                )
+            ncs.append(ref)
+        overlap = {(m.method_name, m.signature) for m in active} & {
+            (m.method_name, m.signature) for m in ncs
+        }
+        if overlap:
+            raise SchemaError(f"methods both active and non-overridden in {name!r}: "
+                              f"{sorted(overlap, key=str)}", ptr)
+        classes[name] = ClassDef(
+            name=name,
+            superclasses=supers,
+            active_methods=tuple(active),
+            non_overridden_callbacks=tuple(
+                sorted(ncs, key=lambda nc: chain_pos[nc.class_name])),
+        )
+
+    apis = tuple(
+        ApiRef.from_json_obj(a, f"/apis/{ai}")
+        for ai, a in enumerate(expect(obj, "apis", list, ""))
+    )
+    api_names = {(a.class_name, a.method_name) for a in apis}
+
+    def declared_method(text: str, what: str, pointer: str) -> MethodRef:
+        ref = reference_parse_method_ref(text, True, pointer)
+        if ref.canonical() not in declared:
+            raise DanglingRef(f"{what} {ref.canonical()!r} is not a declared method", pointer)
+        return ref
+
+    def resolve_callee(ref: MethodRef, pointer: str) -> MethodRef:
+        if ref.canonical() in declared:
+            return ref
+        if (ref.class_name, ref.method_name) in api_names:
+            return MethodRef(ref.class_name, ref.method_name, ref.signature, is_developer=False)
+        raise DanglingRef(
+            f"callee {ref.canonical()!r} resolves to neither a declared method "
+            "nor a declared API",
+            pointer,
+        )
+
+    invocations = []
+    for ii, ientry in enumerate(expect(obj, "invocations", list, "")):
+        ptr = f"/invocations/{ii}"
+        caller = declared_method(expect(ientry, "caller", str, ptr), "caller", f"{ptr}/caller")
+        callee_texts = expect_items(expect(ientry, "callees", list, ptr), str, f"{ptr}/callees")
+        callees = tuple(
+            resolve_callee(reference_parse_method_ref(c, True, f"{ptr}/callees/{ci}"),
+                           f"{ptr}/callees/{ci}")
+            for ci, c in enumerate(callee_texts)
+        )
+        invocations.append((caller, callees))
+
+    param_flows = []
+    for pi, pentry in enumerate(expect(obj, "param_flows", list, "")):
+        ptr = f"/param_flows/{pi}"
+        callee = declared_method(expect(pentry, "callee", str, ptr), "param flow callee",
+                                 f"{ptr}/callee")
+        position = expect(pentry, "position", int, ptr)
+        if position < 0:
+            raise SchemaError("position must be >= 0", f"{ptr}/position")
+        param_flows.append((callee, position, expect(pentry, "class_name", str, ptr)))
+
+    return AppModel(
+        classes=classes,
+        invocations=tuple(invocations),
+        param_flows=tuple(param_flows),
+        apis=apis,
+    )
+
+
+def _outcome(function, *args):
+    """The function's result, or its error's type, text and pointer."""
+    try:
+        return function(*args)
+    except Exception as exc:  # any error type, so that a stray TypeError shows too
+        return type(exc), str(exc), getattr(exc, "pointer", None)
+
+
+def assert_loads_like_reference(obj) -> None:
+    expected = _outcome(reference_app_model_from_json, copy.deepcopy(obj))
+    actual = _outcome(app_model_from_json, obj)
+    assert actual == expected
+    if isinstance(expected, AppModel):
+        assert actual.call_graph == expected.call_graph
+
+
+_DELETE = object()
+# Small edits of a text found in the model: each turns a reference into one
+# that is malformed, respelled, renamed or undeclared, or leaves it as it is.
+_TEXT_EDITS = (
+    lambda t: t,
+    lambda t: t + "\n",
+    lambda t: t + ")",
+    lambda t: t.replace("(", "((", 1),
+    lambda t: t.replace("(", "(x#", 1),
+    lambda t: t.replace("#", "##", 1),
+    lambda t: t.replace("#", "", 1),
+    lambda t: t.partition("(")[0],
+    lambda t: t.replace(")", " )"),
+    lambda t: t.replace("com.app.Main", "com.app.Helper"),
+)
+_REF_CHARS = "abAB#(), \n"
+
+
+@st.composite
+def corrupted_app_model_json(draw):
+    """An ``app_model_json`` model with one member or item deleted or replaced:
+    a text mostly by an edit of itself or by another text of the model,
+    anything by a value of any JSON type."""
+    obj = draw(app_model_json())
+    # Deepest first, as the draw favours the first path: the reference texts.
+    paths = sorted(json_fields(obj), key=len, reverse=True)
+    values = [reduce(getitem, path, obj) for path in paths]
+    i = draw(st.integers(0, len(paths) - 1))
+    path, current = paths[i], values[i]
+    text = st.text(_REF_CHARS, max_size=10)
+    value = st.one_of(text, st.integers(-2, 3), st.booleans(), st.none(),
+                      st.lists(text, max_size=2), st.just({}), st.just(_DELETE))
+    if isinstance(current, str):
+        texts = sorted({v for v in values if isinstance(v, str)})
+        value = st.sampled_from(_TEXT_EDITS).map(lambda edit: edit(current)) | st.sampled_from(
+            texts) | value
+    value = draw(value)
+    parent = reduce(getitem, path[:-1], obj)
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+# A text that a callee resolved to an API names the caller of a later entry.
+_API_AS_CALLER = {
+    "classes": [{"name": "com.app.Main", "superclasses": ["java.lang.Object"],
+                 "active_methods": ["com.app.Main#run()"], "non_overridden_callbacks": []}],
+    "invocations": [{"caller": "com.app.Main#run()",
+                     "callees": ["android.app.Service#bindService"]},
+                    {"caller": "android.app.Service#bindService", "callees": []}],
+    "param_flows": [],
+    "apis": [{"class_name": "android.app.Service", "method_name": "bindService",
+              "kind": "call-in"}],
+}
+# Helper extends the developer class Main and inherits its method without
+# overriding it: one text is an active method and a callback.
+_ACTIVE_AS_CALLBACK = {
+    "classes": [{"name": "com.app.Main", "superclasses": ["java.lang.Object"],
+                 "active_methods": ["com.app.Main#onStart()"], "non_overridden_callbacks": []},
+                {"name": "com.app.Helper", "superclasses": ["com.app.Main"],
+                 "active_methods": [], "non_overridden_callbacks": ["com.app.Main#onStart()"]}],
+    "invocations": [],
+    "param_flows": [],
+    "apis": [],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(app_model_json())
+@example(_API_AS_CALLER)
+@example(_ACTIVE_AS_CALLBACK)
+def test_loader_matches_reference_on_random_models(obj):
+    assert_loads_like_reference(obj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_app_model_json())
+def test_loader_matches_reference_on_single_field_corruptions(obj):
+    assert_loads_like_reference(obj)
+
+
+@pytest.mark.parametrize("name", ["fengshui.json", "geography.json"])
+def test_loader_matches_reference_on_fixtures(name):
+    assert_loads_like_reference(json.loads((APP_MODELS / name).read_text(encoding="utf-8")))
+
+
+# One text per guard of the fast path: without that guard, the text would be
+# split where the regex rejects it or matches it otherwise. The last three
+# are the cases the fast path must leave to the regex or take as it does.
+_GUARD_TEXTS = (
+    "(a#b", "a)#b", "#b", "a#", "a#(b)", "a#b#c", "a#b#c(d)", "a#b)c", "a#b)(c)",
+    "a#b(c", "a#b)", "a#b((c)", "a#b(c))", "a#b(c)\n", "a#b(c#d)", "a#b\n",
+)
+
+
+def _at_each_guard(test):
+    for text in _GUARD_TEXTS:
+        test = example(text, True, "/a/0")(test)
+    return test
+
+
+@settings(max_examples=1000)
+@given(st.text(_REF_CHARS, max_size=14), st.booleans(), st.sampled_from(("", "/a/0")))
+@_at_each_guard
+def test_parse_method_ref_matches_the_regex(text, is_developer, pointer):
+    assert (_outcome(parse_method_ref, text, is_developer, pointer)
+            == _outcome(reference_parse_method_ref, text, is_developer, pointer))

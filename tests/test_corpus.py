@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from crashloc import cli
 from crashloc.config import Config
 from crashloc.corpus import labeled_crash_from_json, load_corpus, save_corpus
 from crashloc.errors import SchemaError
 from crashloc.evaluation import evaluate
 from crashloc.localizer import SubCategory
 from crashloc.nb import Category
+from crashloc.trace import parse_and_split
 
 from conftest import APP_MODELS, CORPUS_PATH
 
@@ -63,6 +65,30 @@ def test_saved_app_model_paths_resolve_from_the_saved_file(tmp_path, monkeypatch
             assert b.app_model.resolve() == a.app_model.resolve()
         assert dataclasses.replace(a, app_model=None) == dataclasses.replace(b, app_model=None)
     assert evaluate(again, Config()).to_json() == evaluate(original, Config()).to_json()
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                         ids=["U+2028", "U+2029", "U+0085"])
+def test_saved_line_separators_in_a_crash_log_load_back(tmp_path, capsys, corpus, matcher, char):
+    # save_corpus leaves these characters raw inside a JSON string, and
+    # str.splitlines would end a record at each of them.
+    changed = []
+    for crash in corpus:
+        log = crash.crash_log.replace("\n", f" {char}x\n", 1)
+        changed.append(dataclasses.replace(crash, crash_log=log,
+                                           report=parse_and_split(log, matcher)))
+    out = tmp_path / "copy.jsonl"
+    save_corpus(out, changed)
+    assert char in out.read_text(encoding="utf-8")
+    again = load_corpus(out, matcher)
+    assert [dataclasses.replace(c, app_model=None) for c in again] == [
+        dataclasses.replace(c, app_model=None) for c in changed]
+    assert [c.app_model.resolve() if c.app_model else None for c in again] == [
+        c.app_model.resolve() if c.app_model else None for c in changed]
+    assert evaluate(again, Config()).to_json() == evaluate(changed, Config()).to_json()
+    assert cli.main(["inspect", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["kind"], summary["crashes"]) == ("corpus", len(corpus))
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from crashloc.errors import ArtifactError
 from crashloc.evaluation import fit
 from crashloc.trace import FrameworkMatcher
 
-from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, run_cli
+from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, json_fields, run_cli
 
 CORPUS_LINES = [json.loads(line) for line in CORPUS_PATH.read_text(encoding="utf-8").splitlines()]
 APP_MODEL_OBJS = [json.loads(p.read_text(encoding="utf-8"))
@@ -33,19 +34,6 @@ APP_MODEL_OBJS = [json.loads(p.read_text(encoding="utf-8"))
 CONFIG_OBJ = Config().to_json_obj()
 BUNDLE_OBJ = json.loads(json.dumps(_bundle_to_obj(
     fit(load_corpus(CORPUS_PATH, FrameworkMatcher()), Config()).nb, Config())))
-
-
-def _fields(value, path=()):
-    """The path of every object member and array item inside ``value``."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return
-    for key, child in items:
-        yield path + (key,)
-        yield from _fields(child, path + (key,))
 
 
 def _strings(value) -> set:
@@ -72,7 +60,7 @@ def json_values(known_strings):
 
 def _replace_somewhere(data, objs):
     obj = copy.deepcopy(data.draw(st.sampled_from(objs)))
-    path = data.draw(st.sampled_from(list(_fields(obj))))
+    path = data.draw(st.sampled_from(list(json_fields(obj))))
     target = obj
     for key in path[:-1]:
         target = target[key]
@@ -126,7 +114,7 @@ def _value_at(obj, path):
 def test_non_finite_number_at_any_number_field_is_rejected_there(kind, data):
     objs, load, _ = LOADERS[kind]
     obj = copy.deepcopy(objs[0])
-    number_paths = [path for path in _fields(obj)
+    number_paths = [path for path in json_fields(obj)
                     if type(_value_at(obj, path)) in (int, float)]
     path = data.draw(st.sampled_from(number_paths))
     _value_at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from((math.nan, math.inf,
@@ -238,3 +226,30 @@ def test_wrong_content_exits_2_naming_the_input(tmp_path, monkeypatch, capsys, c
     what = case.replace("-", " ").replace("config", "config file")
     assert error["message"] == f"{message} in {what} {str(path)!r}"
     assert error.get("pointer") == pointer
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no int() digit limit")
+@pytest.mark.parametrize("case", ["corpus", "crash-log"])
+def test_line_number_too_long_for_int_exits_2_naming_the_input(tmp_path, capsys, case):
+    digits = sys.get_int_max_str_digits() + 1
+    log = f"java.lang.IllegalStateException: x\n\tat com.x.Y.z(Y.java:{'1' * digits})\n"
+    problem = f"frame 0 has a line number of {digits} digits, too long to read"
+    path = tmp_path / "input.txt"
+    if case == "corpus":
+        path.write_text(json.dumps({**CORPUS_LINES[0], "crash_log": log}) + "\n", encoding="utf-8")
+        args = ["inspect", str(path)]
+        expected = ("SchemaError", f"crash_log does not parse: {problem} (at /0/crash_log)",
+                    "/0/crash_log")
+    else:
+        path.write_text(log, encoding="utf-8")
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(BUNDLE_OBJ), encoding="utf-8")
+        args = ["locate", str(path), "--model", str(bundle), "--corpus", str(CORPUS_PATH)]
+        expected = ("MalformedLog", problem, None)
+    assert cli.main(args) == 2
+    error = json.loads(capsys.readouterr().err)
+    kind, message, pointer = expected
+    what = case.replace("-", " ")
+    assert (error["error"], error["message"], error.get("pointer")) == (
+        kind, f"{message} in {what} {str(path)!r}", pointer)

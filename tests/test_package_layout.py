@@ -1,6 +1,6 @@
 """The package's module structure: ``crashloc`` imports itself without cycles,
-and each name a module imports but never uses is one that ``bench/tracer.py``
-wraps there."""
+each name a module imports but never uses is one that ``bench/tracer.py``
+wraps there, and the standard-library modules it imports are the pinned set."""
 from __future__ import annotations
 
 import ast
@@ -14,6 +14,13 @@ TRACER_ONLY_IMPORTS = {
     "evaluation": {"vectorize", "locate_category_a", "locate_category_b", "locate_category_c",
                    "predict", "train_nb"},
     "localizer": {"links"},
+}
+
+# The standard-library modules the package imports. A cold ``crashloc`` command
+# loads each of them, so adding one is a visible edit here.
+STDLIB_IMPORTS = {
+    "__future__", "argparse", "collections", "contextlib", "dataclasses", "enum", "functools",
+    "itertools", "json", "logging", "math", "operator", "os", "pathlib", "re", "sys", "typing",
 }
 
 
@@ -75,3 +82,14 @@ def test_each_tracer_only_import_is_a_tracer_target():
     for module, names in TRACER_ONLY_IMPORTS.items():
         for name in names:
             assert f"crashloc.{module}.{name}" in traced
+
+
+def test_standard_library_imports_are_the_pinned_set():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found == STDLIB_IMPORTS

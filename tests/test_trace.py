@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 
 import pytest
@@ -102,6 +103,21 @@ def test_location_variants_parse(matcher):
     assert report.frames[2].file == "Unknown Source"
     assert report.frames[3].file is None
     assert report.frames[3].line is None
+
+
+# The interpreter's limit on the digits int() converts; 0 or absent means none.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this interpreter has no int() digit limit")
+def test_line_number_too_long_for_int_is_malformed(matcher):
+    text = "java.lang.Error: x\n\tat com.app.x.Main.go(Main.java:{})\n"
+    report = parse_and_split(text.format("7" * INT_DIGITS), matcher)
+    assert report.frames[0].line == int("7" * INT_DIGITS)
+    with pytest.raises(MalformedLog) as exc:
+        parse_and_split(text.format("7" * (INT_DIGITS + 1)), matcher)
+    assert str(exc.value) == (f"frame 0 has a line number of {INT_DIGITS + 1} digits, "
+                              "too long to read")
 
 
 def test_split_listing1():

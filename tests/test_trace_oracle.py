@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from crashloc.errors import CrashLocError, MalformedLog, MissingException, NoDeveloperFrame
 from crashloc.trace import FrameworkMatcher, StackFrame, parse_and_split
@@ -154,6 +154,16 @@ _LOCATIONS = (
     "Main.kt:7",
     "Main.java:abc",
     "a:b:3",
+    # Where a split at the last colon could drift from _FILE_LINE_RE: an
+    # empty file part, non-ASCII digits (\d takes Arabic-Indic ones, not a
+    # superscript), digits that int() takes but \d does not, and a drive letter.
+    ":12",
+    "F.java:\u0661\u0662",
+    "F.java:\u00b2",
+    "F.java:1_000",
+    "F.java: 12",
+    "F.java:+1",
+    "C:\\a\\F.java:3",
 )
 MATCHERS = (
     FrameworkMatcher(),
@@ -176,6 +186,7 @@ _JUNK_LINES = (
     "at nothing",
     "\tat com.app.Main.run(Main.java:1",
     "FATAL EXCEPTION: main",
+    "x Caused by: y",
 )
 _CAUSED_BY_LINES = (
     "Caused by: java.lang.NullPointerException",
@@ -204,6 +215,9 @@ def crash_texts(draw):
 
 
 @given(crash_texts(), st.sampled_from(MATCHERS))
+# A line that holds "Caused by:" after other text is junk, not a cut.
+@example("java.lang.IllegalStateException: boom\n\tat com.app.one.Main.run(Main.java:42)\n"
+         "x Caused by: y\n\tat org.demo.two.Worker.handle(Main.kt:7)\n", MATCHERS[0])
 def test_parse_and_split_matches_reference(text, matcher):
     assert_matches_reference(text, matcher)
 
