@@ -25,7 +25,6 @@ one-pair case.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -42,11 +41,6 @@ API_KINDS = (API_KIND_CALL_IN, API_KIND_CALLBACK)
 # How many invocation hops the linkage rule (``link_scores``) follows
 # unless told otherwise.
 DEFAULT_LINKS_DEPTH = 5
-
-_METHOD_REF_RE = re.compile(
-    r"^(?P<cls>[^#()]+)#(?P<method>[^#()]+)(?:\((?P<sig>[^()]*)\))?$"
-)
-
 
 @dataclass(frozen=True, slots=True)
 class MethodRef:
@@ -187,25 +181,22 @@ class CallGraph:
 
 
 def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") -> MethodRef:
-    # The common ``cls#method`` and ``cls#method(sig)`` forms are split with
-    # str.partition. The fast path takes only a text that the regex matches
-    # with the same groups; the rest, errors included, goes to the regex.
-    # The regex's ``$`` also matches before a trailing "\n", so "c#m(s)\n"
-    # falls back, and its signature group allows "#".
-    cls, _, rest = text.partition("#")
+    """Parse ``cls#method`` or ``cls#method(sig)``.
+
+    The class and the method are non-empty and hold no ``#``, ``(`` or
+    ``)``; the signature holds no ``(`` or ``)`` and is split at commas.
+    One ``"\\n"`` after the closing ``)`` is ignored.
+    """
+    cls, _, rest = (text[:-1] if text.endswith(")\n") else text).partition("#")
     if rest.endswith(")"):
         method, paren, sig_text = rest[:-1].partition("(")
-        fast = paren and "(" not in sig_text and ")" not in sig_text
+        ok = paren and "(" not in sig_text and ")" not in sig_text
     else:
         method, sig_text = rest, None
-        fast = "(" not in method
-    if not (fast and cls and method and "(" not in cls and ")" not in cls
+        ok = "(" not in method
+    if not (ok and cls and method and "(" not in cls and ")" not in cls
             and "#" not in method and ")" not in method):
-        m = _METHOD_REF_RE.match(text)
-        if m is None:
-            raise SchemaError(f"bad method reference {text!r}, expected class#method(sig)",
-                              pointer)
-        cls, method, sig_text = m.group("cls", "method", "sig")
+        raise SchemaError(f"bad method reference {text!r}, expected class#method(sig)", pointer)
     if sig_text is None:
         signature = None
     elif not sig_text.strip():
@@ -223,22 +214,10 @@ def load_app_model(path: str | Path) -> AppModel:
 
 
 def app_model_from_json(obj: dict) -> AppModel:
-    # Each distinct reference text is parsed once per load: by (text,
-    # developer flag) in the class pass, and by text once resolved against
-    # the declarations. A reference's pointer is built only for its error.
-    parsed: dict = {}  # (text, is_developer) -> MethodRef
+    # A callback text and a resolved reference text are each parsed once
+    # per load; a reference's pointer is built only for its error.
+    callbacks: dict = {}  # text -> the non-overridden callback it names
     resolved: dict = {}  # text -> the declared method, or the API a callee names
-
-    def parse(text: str, is_developer: bool, pointer: str, key) -> MethodRef:
-        ref = parsed.get((text, is_developer))
-        if ref is None:
-            try:
-                ref = parse_method_ref(text, is_developer)
-            except SchemaError as exc:
-                raise SchemaError(exc.message, f"{pointer}/{key}") from None
-            parsed[text, is_developer] = ref
-        return ref
-
     classes: dict = {}
     declared: set = set()  # canonical strings of the active methods
     for ci, centry in enumerate(expect(obj, "classes", list, "")):
@@ -252,7 +231,7 @@ def app_model_from_json(obj: dict) -> AppModel:
         aptr = f"{ptr}/active_methods"
         for mi, mtext in enumerate(expect_items(expect(centry, "active_methods", list, ptr),
                                                 str, aptr)):
-            ref = parse(mtext, True, aptr, mi)
+            ref = _parse_at(mtext, True, aptr, mi)
             canonical = ref.canonical()
             if ref.class_name != name:
                 raise SchemaError(f"active method {canonical!r} is not declared in {name!r}",
@@ -268,7 +247,9 @@ def app_model_from_json(obj: dict) -> AppModel:
         nptr = f"{ptr}/non_overridden_callbacks"
         for mi, mtext in enumerate(expect_items(
                 expect(centry, "non_overridden_callbacks", list, ptr), str, nptr)):
-            ref = parse(mtext, False, nptr, mi)
+            ref = callbacks.get(mtext)
+            if ref is None:
+                ref = callbacks[mtext] = _parse_at(mtext, False, nptr, mi)
             if ref.class_name not in chain_pos:
                 raise DanglingRef(
                     f"callback {ref.canonical()!r} is defined outside the "
@@ -300,13 +281,13 @@ def app_model_from_json(obj: dict) -> AppModel:
         """The declared method ``text`` names; for a callee, else the API it names."""
         ref = resolved.get(text)
         if ref is None:
-            ref = parse(text, True, pointer, key)
+            ref = _parse_at(text, True, pointer, key)
             if ref.canonical() not in declared:
-                if what != "callee" or (ref.class_name, ref.method_name) not in api_names:
+                if (ref.class_name, ref.method_name) not in api_names:
                     raise _undeclared(ref, what, f"{pointer}/{key}")
                 ref = MethodRef(ref.class_name, ref.method_name, ref.signature, False)
             resolved[text] = ref
-        elif not ref.is_developer and what != "callee":
+        if not ref.is_developer and what != "callee":
             raise _undeclared(ref, what, f"{pointer}/{key}")
         return ref
 
@@ -336,6 +317,14 @@ def app_model_from_json(obj: dict) -> AppModel:
         param_flows=tuple(param_flows),
         apis=apis,
     )
+
+
+def _parse_at(text: str, is_developer: bool, pointer: str, key) -> MethodRef:
+    """``parse_method_ref``, raising at ``pointer``/``key``."""
+    try:
+        return parse_method_ref(text, is_developer)
+    except SchemaError as exc:
+        raise SchemaError(exc.message, f"{pointer}/{key}") from None
 
 
 def _undeclared(ref: MethodRef, what: str, pointer: str) -> DanglingRef:

@@ -17,8 +17,9 @@ calls: its float order and the reachability memo's keys.
 ``reference_parse_method_ref`` is the regex-only reference parser, and
 ``reference_app_model_from_json`` the loader that parsed every reference
 occurrence with it, kept verbatim but for the name of the parser it calls;
-they are the oracles for ``parse_method_ref``'s ``str.partition`` path and
-for the loader that parses each distinct reference text once.
+they are the oracles for ``parse_method_ref``, which splits with
+``str.partition`` alone, and for the loader that parses each distinct
+callback text and each distinct resolved reference text once.
 """
 from __future__ import annotations
 
@@ -707,9 +708,10 @@ def test_loader_matches_reference_on_fixtures(name):
     assert_loads_like_reference(json.loads((APP_MODELS / name).read_text(encoding="utf-8")))
 
 
-# One text per guard of the fast path: without that guard, the text would be
-# split where the regex rejects it or matches it otherwise. The last three
-# are the cases the fast path must leave to the regex or take as it does.
+# One text per guard of the partition parser: without that guard, the text
+# would be split where the regex rejects it or matches it otherwise. The
+# last three are the regex's quirks: its ``$`` also matches before a final
+# "\n", and its signature group allows "#".
 _GUARD_TEXTS = (
     "(a#b", "a)#b", "#b", "a#", "a#(b)", "a#b#c", "a#b#c(d)", "a#b)c", "a#b)(c)",
     "a#b(c", "a#b)", "a#b((c)", "a#b(c))", "a#b(c)\n", "a#b(c#d)", "a#b\n",
