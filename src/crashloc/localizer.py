@@ -7,15 +7,18 @@ the active methods of each stack-frame class, weighted by 1/d where d is
 the frame's 1-based distance from the crash method, in one pass over the
 invokers per (frame, active method); for callback APIs the matching
 non-overridden callbacks of each stack-frame class are appended in frame
-order. Category C averages crash similarity per sub-category. The labels
-are ``corpus.Category`` and ``corpus.SubCategory``. ``Pipeline`` pairs a
-trained categorizer with these locators.
+order. Category C averages crash similarity per sub-category, with every
+distinct training sub-trace scored in one bit-parallel pass per query. The
+labels are ``corpus.Category`` and ``corpus.SubCategory``. ``IndexB`` and
+``IndexC`` are a B and a C pool indexed by sub-trace and checked for their
+labels once. ``Pipeline`` pairs a trained categorizer with these locators.
 """
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence, Union
 
 from .appmodel import (
@@ -33,11 +36,12 @@ from .corpus import SUB_CATEGORIES, Category, LabeledCrash, SubCategory
 from .errors import CrashLocError, EmptyPool, LocateError, SchemaError
 from .nb import NBModel, certified_argmax, predict
 from .features import set_bits, vectorize
-from .similarity import Pool, SubtraceIndex, crash_similarity, frame_seq, most_similar
+from .similarity import PackedKeys, Pool, SubtraceIndex, frame_seq, most_similar
 from .trace import CrashReport
 
-# Unused here: bound only so that bench/tracer.py can wrap it under this name.
+# Unused here: bound only so that bench/tracer.py can wrap them under these names.
 from .appmodel import links  # noqa: F401
+from .similarity import crash_similarity  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -101,14 +105,70 @@ def locate_category_a(report: CrashReport) -> LocalizationResult:
     )
 
 
-def infer_handled_api(report: CrashReport, training_b: Pool) -> tuple[ApiRef, dict]:
+def _check_labels(pool: Sequence[LabeledCrash], attribute: str, label: str) -> None:
+    for i, crash in enumerate(pool):
+        if getattr(crash, attribute) is None:
+            raise SchemaError(f"training crash {i} carries no {label} label")
+
+
+@dataclass(frozen=True)
+class IndexB:
+    """A Category-B training pool indexed by sub-trace, every crash checked
+    once, when it is built, for its handled-API label."""
+
+    index: SubtraceIndex
+
+    @classmethod
+    def of(cls, pool: Union[Pool, IndexB]) -> IndexB:
+        """The checked index of ``pool``, or ``pool`` itself when it is one;
+        raises ``SchemaError`` naming the first unlabeled crash."""
+        if isinstance(pool, cls):
+            return pool
+        index = SubtraceIndex.of(pool)
+        _check_labels(index.pool, "api_h", "handled-API")
+        return cls(index)
+
+    @property
+    def pool(self) -> tuple[LabeledCrash, ...]:
+        return self.index.pool
+
+
+@dataclass(frozen=True)
+class IndexC:
+    """A Category-C training pool indexed by sub-trace, every crash checked
+    once, when it is built, for its sub-category label. ``packed`` holds the
+    distinct sub-traces, by key id, for one bit-parallel pass per query;
+    ``members`` maps each sub-category to the key id of each of its crashes,
+    in pool order."""
+
+    index: SubtraceIndex
+    packed: PackedKeys
+    members: dict[SubCategory, tuple[int, ...]]
+
+    @classmethod
+    def of(cls, pool: Union[Pool, IndexC]) -> IndexC:
+        """The checked index of ``pool``, or ``pool`` itself when it is one;
+        raises ``SchemaError`` naming the first unlabeled crash."""
+        if isinstance(pool, cls):
+            return pool
+        index = SubtraceIndex.of(pool)
+        _check_labels(index.pool, "sub_category", "sub-category")
+        members: dict[SubCategory, list[int]] = {}
+        for crash, key_id in zip(index.pool, index.key_ids):
+            members.setdefault(crash.sub_category, []).append(key_id)
+        return cls(index, PackedKeys.of(index.first),
+                   {sub: tuple(ids) for sub, ids in members.items()})
+
+    @property
+    def pool(self) -> tuple[LabeledCrash, ...]:
+        return self.index.pool
+
+
+def infer_handled_api(report: CrashReport, training_b: Union[Pool, IndexB]) -> tuple[ApiRef, dict]:
     """Wrongly handled API of the most similar Category-B training crash."""
-    index = SubtraceIndex.of(training_b)
+    index = IndexB.of(training_b).index
     if not index.pool:
         raise EmptyPool("no Category-B training crashes to infer the handled API from")
-    for i, crash in enumerate(index.pool):
-        if crash.api_h is None:
-            raise SchemaError(f"training crash {i} carries no handled-API label")
     nearest, score = most_similar(report, index)
     provenance = {
         "strategy": "nearest_crash",
@@ -135,7 +195,7 @@ def _known_frames(report: CrashReport, model: AppModel):
 def locate_category_b(
     report: CrashReport,
     model: AppModel,
-    training_b: Pool,
+    training_b: Union[Pool, IndexB],
     depth: int = DEFAULT_LINKS_DEPTH,
 ) -> LocalizationResult:
     """Rank out-of-trace developer methods for the inferred handled API.
@@ -170,28 +230,27 @@ def locate_category_b(
     )
 
 
-def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResult:
+def locate_category_c(report: CrashReport, training_c: Union[Pool, IndexC]) -> LocalizationResult:
     """Rank sub-categories by mean similarity to their training crashes.
 
-    Each distinct sub-trace that shares a frame with the query is scored
-    once; every other one scores exactly 0.0. The sums still add one score
-    per training crash in pool order, so the means are those of the
-    per-crash loop to the last bit.
+    The distinct sub-traces that share a frame with the query get their
+    distances from one bit-parallel pass over all of them (``PackedKeys``);
+    every other one scores exactly 0.0. Each sum still adds one score per
+    training crash in pool order, left to right, so the means are those of
+    the per-crash loop to the last bit. The built-in ``sum`` is not used:
+    from Python 3.12 it compensates float sums.
     """
-    index = SubtraceIndex.of(training_c)
-    if not index.pool:
+    training = IndexC.of(training_c)
+    if not training.pool:
         raise EmptyPool("no Category-C training crashes to compare against")
-    key_scores = [0.0] * len(index.heads)
-    for key_id in index.sharing(frame_seq(report)):
-        key_scores[key_id] = crash_similarity(report, index.pool[index.heads[key_id]].report)
-    sums: dict[SubCategory, float] = {}
-    counts: dict[SubCategory, int] = {}
-    for i, (crash, key_id) in enumerate(zip(index.pool, index.key_ids)):
-        if crash.sub_category is None:
-            raise SchemaError(f"training crash {i} carries no sub-category label")
-        sums[crash.sub_category] = sums.get(crash.sub_category, 0.0) + key_scores[key_id]
-        counts[crash.sub_category] = counts.get(crash.sub_category, 0) + 1
-    means = {sub: sums[sub] / counts[sub] for sub in sums}
+    seq, lengths = frame_seq(report), training.packed.lengths
+    key_ids = training.index.sharing(seq)
+    key_scores = [0.0] * len(lengths)
+    for key_id, distance in zip(key_ids, training.packed.distances(seq, key_ids)):
+        longest = max(len(seq), lengths[key_id])
+        key_scores[key_id] = 1.0 - distance / longest if longest else 1.0
+    means = {sub: reduce(operator.add, map(key_scores.__getitem__, ids)) / len(ids)
+             for sub, ids in training.members.items()}
     ranked = tuple(
         (sub, means[sub])
         for sub in sorted(means, key=lambda s: (-means[s], SUB_CATEGORIES.index(s)))
@@ -210,20 +269,20 @@ def locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResu
 class Pipeline:
     """A fitted two-phase localizer: the categorizer (``nb`` carries the
     selected vocabulary) and the labeled crashes the B and C locators use.
-    Each locator's pool is that category's crashes of ``corpus``, taken and
-    indexed by sub-trace on its first use."""
+    Each locator's pool is that category's crashes of ``corpus``, taken,
+    indexed by sub-trace and checked for its labels on its first use."""
 
     nb: NBModel
     corpus: tuple[LabeledCrash, ...]
     links_depth: int = DEFAULT_LINKS_DEPTH
 
     @cached_property
-    def index_b(self) -> SubtraceIndex:
-        return SubtraceIndex.of([c for c in self.corpus if c.category is Category.B])
+    def index_b(self) -> IndexB:
+        return IndexB.of([c for c in self.corpus if c.category is Category.B])
 
     @cached_property
-    def index_c(self) -> SubtraceIndex:
-        return SubtraceIndex.of([c for c in self.corpus if c.category is Category.C])
+    def index_c(self) -> IndexC:
+        return IndexC.of([c for c in self.corpus if c.category is Category.C])
 
     def categorize(self, report: CrashReport) -> Category:
         """Phase 1: the most probable category of ``report``, as ``predict``

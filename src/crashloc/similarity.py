@@ -6,6 +6,9 @@ sequence length. Similarity depends on the sub-traces alone, so a pool of
 labeled crashes is compared through its ``SubtraceIndex``: each distinct
 sub-trace once, whatever the number of crashes sharing it, and only when
 the index's frame bags and postings cannot prove the score beforehand.
+``edit_distance`` compares two sequences; ``PackedKeys`` compares one text
+with many keys in a single bit-parallel pass, for a locator that needs
+every key's score.
 """
 from __future__ import annotations
 
@@ -135,6 +138,72 @@ def edit_distance(a: Sequence, b: Sequence) -> int:
         pv = (mh | ~(xv | ph)) & width
         mv = ph & xv
     return distance
+
+
+@dataclass(frozen=True, slots=True)
+class PackedKeys:
+    """Sequences packed side by side into Python ints, so that one run of
+    ``edit_distance``'s column step gives the distance of a text to each of
+    them: the multiple-pattern form of the bit-vector algorithm (Hyyrö,
+    Fredriksson and Navarro, "Increased bit-parallelism for approximate and
+    multiple string matching", ACM JEA 10, 2005).
+
+    Key k owns a segment of ``len(k)`` bits starting at ``offsets[k]``,
+    followed by one guard bit. ``masks`` maps each frame to the bits of the
+    positions holding it, ``lows`` has the lowest bit of each non-empty
+    segment set and ``width`` every segment bit but no guard bit.
+    """
+
+    lengths: tuple[int, ...]
+    offsets: tuple[int, ...]
+    masks: dict[str, int]
+    lows: int
+    width: int
+
+    @classmethod
+    def of(cls, keys: Iterable[Sequence[str]]) -> PackedKeys:
+        lengths, offsets, masks = [], [], {}
+        lows = width = offset = 0
+        for key in keys:
+            lengths.append(len(key))
+            offsets.append(offset)
+            for position, frame in enumerate(key, offset):
+                masks[frame] = masks.get(frame, 0) | 1 << position
+            if key:
+                lows |= 1 << offset
+                width |= ((1 << len(key)) - 1) << offset
+            offset += len(key) + 1
+        return cls(tuple(lengths), tuple(offsets), masks, lows, width)
+
+    def distances(self, text: Sequence[str], key_ids: Iterable[int]) -> list[int]:
+        """Edit distance of ``text`` to each key of ``key_ids``, in that order.
+
+        One column step per frame of ``text`` advances every key at once.
+        The carry out of a segment's addition stops at its guard bit; that
+        carry and ``ph``'s guard bit are masked off before they could shift
+        into the next segment, and the row-0 ``+1`` enters at each segment's
+        lowest bit. Bits of ``pv``/``mv`` are the +1/-1 vertical differences
+        of the final column, so key k's distance is row 0's ``len(text)``
+        plus the popcount of ``pv`` minus that of ``mv`` over its segment.
+        """
+        masks, lows, width = self.masks, self.lows, self.width
+        pv, mv = width, 0
+        for frame in text:
+            eq = masks.get(frame, 0)
+            xv = eq | mv
+            xh = ((((eq & pv) + pv) & width) ^ pv) | eq
+            ph = ((mv | ~(xh | pv)) & width) << 1 | lows
+            mh = (pv & xh) << 1
+            pv = (mh | ~(xv | ph)) & width
+            mv = ph & xv
+        n = len(text)
+        lengths, offsets = self.lengths, self.offsets
+        out = []
+        for key_id in key_ids:
+            offset, segment = offsets[key_id], (1 << lengths[key_id]) - 1
+            out.append(n + ((pv >> offset) & segment).bit_count()
+                       - ((mv >> offset) & segment).bit_count())
+        return out
 
 
 def seq_similarity(a: Sequence, b: Sequence) -> float:

@@ -133,9 +133,14 @@ def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
     exception type, MalformedLog if no frame line parses or a frame's line
     number is too long for ``int``, and NoDeveloperFrame when every frame
     matches a framework prefix. Lines after the first ``Caused by:`` are
-    discarded.
+    discarded. A line ends at a line feed, less one trailing carriage
+    return, and nowhere else: ``str.splitlines`` would also cut a message at
+    U+2028, U+2029, U+0085 and the ASCII vertical tab, form feed and
+    separator controls.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     for start, first in enumerate(lines):
         if first.strip():
             break

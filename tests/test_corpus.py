@@ -6,6 +6,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crashloc import cli
 from crashloc.config import Config
@@ -71,10 +72,11 @@ def test_saved_app_model_paths_resolve_from_the_saved_file(tmp_path, monkeypatch
                          ids=["U+2028", "U+2029", "U+0085"])
 def test_saved_line_separators_in_a_crash_log_load_back(tmp_path, capsys, corpus, matcher, char):
     # save_corpus leaves these characters raw inside a JSON string, and
-    # str.splitlines would end a record at each of them.
+    # str.splitlines would end a record at each of them. They do not end a
+    # crash-log line either, so each goes into the header's message.
     changed = []
     for crash in corpus:
-        log = crash.crash_log.replace("\n", f" {char}x\n", 1)
+        log = crash.crash_log.replace("\n", f": {char}x\n", 1)
         changed.append(dataclasses.replace(crash, crash_log=log,
                                            report=parse_and_split(log, matcher)))
     out = tmp_path / "copy.jsonl"
@@ -89,6 +91,28 @@ def test_saved_line_separators_in_a_crash_log_load_back(tmp_path, capsys, corpus
     assert cli.main(["inspect", str(out)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert (summary["kind"], summary["crashes"]) == ("corpus", len(corpus))
+
+
+# Besides letters, spaces and carriage returns, the characters at which
+# str.splitlines, but not a crash log or a corpus record, ends a line.
+_MESSAGE_TEXT = st.text(alphabet="ab \t\r\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e", max_size=8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 39), _MESSAGE_TEXT), min_size=1, max_size=4))
+def test_saved_crash_text_evaluates_as_in_memory(tmp_path_factory, corpus, matcher, edits):
+    logs = [crash.crash_log for crash in corpus]
+    for i, text in edits:
+        logs[i] = logs[i].replace("\n", f": {text}\n", 1)
+    changed = [dataclasses.replace(crash, crash_log=log, report=parse_and_split(log, matcher))
+               for crash, log in zip(corpus, logs)]
+    for i, text in edits:
+        assert text.strip() in changed[i].report.message
+    out = tmp_path_factory.mktemp("saved") / "copy.jsonl"
+    save_corpus(out, changed)
+    again = load_corpus(out, matcher)
+    assert [c.report for c in again] == [c.report for c in changed]
+    assert evaluate(again, Config()).to_json() == evaluate(changed, Config()).to_json()
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

@@ -442,6 +442,25 @@ def test_locate_builds_each_index_once_until_the_corpus_changes(
     assert builds == {"index_b": 2, "index_c": 2}
 
 
+def test_each_pipeline_checks_its_labels_once(corpus_module, trained, matcher, geography,
+                                              monkeypatch):
+    checked = Counter()
+    check = localizer._check_labels
+
+    def counted(pool, attribute, label):
+        checked[attribute] += 1
+        return check(pool, attribute, label)
+
+    monkeypatch.setattr(localizer, "_check_labels", counted)
+    pipeline = Pipeline(trained, tuple(corpus_module))
+    b_query, c_query = (_crash(name, matcher) for name in
+                        ("b_geography_service.log", "c_manifest_permission.log"))
+    for _ in range(3):
+        pipeline.locate_as(Category.B, b_query, geography)
+        pipeline.locate_as(Category.C, c_query, None)
+    assert checked == {"api_h": 1, "sub_category": 1}
+
+
 _PKG = "com.yamlearning.geographylearning"
 _BIND = ("android.content.ContextWrapper#bindService"
          "(android.content.Intent,android.content.ServiceConnection,int)")

@@ -13,7 +13,7 @@ PACKAGE = REPO_ROOT / "src" / "crashloc"
 TRACER_ONLY_IMPORTS = {
     "evaluation": {"vectorize", "locate_category_a", "locate_category_b", "locate_category_c",
                    "predict", "train_nb"},
-    "localizer": {"links"},
+    "localizer": {"links", "crash_similarity"},
 }
 
 # The standard-library modules the package imports. A cold ``crashloc`` command

@@ -20,19 +20,33 @@ id order, skipped when its length or bag bound cannot beat the best so
 far. ``most_similar``, which visits the sharing keys in decreasing bound,
 stops early and answers in closed form when no sharing key scores above
 0.0, must return the same crash and score.
+
+``reference_indexed_locate_category_c`` is the Category-C locator that
+scored each sharing sub-trace with its own ``crash_similarity`` call and
+checked the labels on every query, kept verbatim. On random pools over
+small alphabets, with repeated and empty keys and keys of 63, 64, 65 and
+more frames, the packed pass (``PackedKeys``) must give every key the
+distance ``edit_distance`` gives it, and ``locate_category_c`` the same
+means, ranking and provenance as both references.
 """
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
+from functools import reduce
 from typing import Sequence
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crashloc.appmodel import ApiRef
 from crashloc.corpus import LabeledCrash
-from crashloc.errors import EmptyPool
+from crashloc.errors import EmptyPool, SchemaError
 from crashloc.localizer import (
     SUB_CATEGORIES,
+    IndexB,
+    IndexC,
     LocalizationResult,
     Pipeline,
     SubCategory,
@@ -150,6 +164,42 @@ def reference_locate_category_c(
             raise ValueError(f"training crash {i} carries no sub-category label")
         score = crash_similarity(report, crash.report)
         sums[crash.sub_category] = sums.get(crash.sub_category, 0.0) + score
+        counts[crash.sub_category] = counts.get(crash.sub_category, 0) + 1
+    means = {sub: sums[sub] / counts[sub] for sub in sums}
+    ranked = tuple(
+        (sub, means[sub])
+        for sub in sorted(means, key=lambda s: (-means[s], SUB_CATEGORIES.index(s)))
+    )
+    return LocalizationResult(
+        predicted_category=Category.C,
+        ranked=ranked,
+        provenance={
+            "strategy": "subcategory_mean",
+            "means": {sub.value: means[sub] for sub in SUB_CATEGORIES if sub in means},
+        },
+    )
+
+
+def reference_indexed_locate_category_c(report: CrashReport, training_c: Pool) -> LocalizationResult:
+    """Rank sub-categories by mean similarity to their training crashes.
+
+    Each distinct sub-trace that shares a frame with the query is scored
+    once; every other one scores exactly 0.0. The sums still add one score
+    per training crash in pool order, so the means are those of the
+    per-crash loop to the last bit.
+    """
+    index = SubtraceIndex.of(training_c)
+    if not index.pool:
+        raise EmptyPool("no Category-C training crashes to compare against")
+    key_scores = [0.0] * len(index.heads)
+    for key_id in index.sharing(frame_seq(report)):
+        key_scores[key_id] = crash_similarity(report, index.pool[index.heads[key_id]].report)
+    sums: dict[SubCategory, float] = {}
+    counts: dict[SubCategory, int] = {}
+    for i, (crash, key_id) in enumerate(zip(index.pool, index.key_ids)):
+        if crash.sub_category is None:
+            raise SchemaError(f"training crash {i} carries no sub-category label")
+        sums[crash.sub_category] = sums.get(crash.sub_category, 0.0) + key_scores[key_id]
         counts[crash.sub_category] = counts.get(crash.sub_category, 0) + 1
     means = {sub: sums[sub] / counts[sub] for sub in sums}
     ranked = tuple(
@@ -370,6 +420,87 @@ def test_category_c_means_add_one_score_per_crash_in_pool_order():
     grouped = 2 * (1 - 5 / 6) + 2 * (1 - 3 / 6)
     assert expected.provenance["means"]["Hardware"] != grouped / 4
     assert locate_category_c(report, pool) == expected
+
+
+def test_category_c_means_add_left_to_right_not_compensated():
+    # Six scores of 1 - 2/3 add left to right to 2.0000000000000004, and to
+    # 2.0 exactly rounded, as the built-in sum gives from Python 3.12 on,
+    # when it began to compensate float sums.
+    query = tuple(f"android.q.Q.f{i}" for i in range(3))
+    third = query[:1] + ("android.x.X.f1", "android.x.X.f2")
+    pool = [_crash(third, APIS[0], SubCategory.HARDWARE)] * 6
+    scores = [1.0 - 2 / 3] * 6
+    left_to_right = reduce(operator.add, scores)
+    assert left_to_right != math.fsum(scores)
+    report = make_report(framework=query)
+    mean = locate_category_c(report, pool).provenance["means"]["Hardware"]
+    assert mean == left_to_right / 6 != math.fsum(scores) / 6
+    assert locate_category_c(report, pool) == reference_locate_category_c(report, pool)
+
+
+# Keys around a 64-bit word and well past it, so that segments straddle
+# word boundaries of the packed ints.
+_LONG = (63, 64, 65, 130)
+
+
+@st.composite
+def packed_pools(draw):
+    """A pool over an alphabet of 1-4 frames, so frames repeat within and
+    across keys, and a query over the same alphabet plus a frame no key
+    holds. Keys repeat (as the same crash or a new one under another
+    sub-category), are empty, or run to 63, 64, 65 and 130 frames."""
+    alphabet = FRAMES[:draw(st.integers(1, len(FRAMES)))]
+
+    def sequence(extra=()):
+        length = draw(st.one_of(st.integers(0, 8), st.sampled_from(_LONG)))
+        return tuple(draw(st.lists(st.sampled_from(alphabet + extra),
+                                   min_size=length, max_size=length)))
+
+    pool: list[LabeledCrash] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("new", "new", "same", "same-subtrace", "empty")))
+        sub = draw(st.sampled_from(SUB_CATEGORIES))
+        if kind == "same" and pool:
+            pool.append(draw(st.sampled_from(pool)))
+        elif kind == "same-subtrace" and pool:
+            pool.append(_crash(draw(st.sampled_from(pool)).report.subtrace_key, APIS[0], sub))
+        else:
+            pool.append(_crash(() if kind == "empty" else sequence(), APIS[0], sub))
+    return pool, sequence(POOL_ONLY[:1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=packed_pools())
+@example(drawn=(_pool_of((A,) * 64, (), (B,) * 65), ()))
+@example(drawn=(_pool_of((A, B) * 32 + (A,), (B,) * 63, (), (B,) * 63), (B, A) * 33))
+def test_packed_pass_matches_edit_distance_and_both_references(drawn):
+    pool, query = drawn
+    training = IndexC.of(pool)
+    keys = list(training.index.first)
+    ids = list(reversed(range(len(keys))))
+    assert training.packed.distances(query, ids) == [edit_distance(query, keys[k]) for k in ids]
+    assert training.packed.lengths == tuple(map(len, keys))
+
+    report = make_report(framework=query)
+    expected = reference_locate_category_c(report, pool)
+    assert reference_indexed_locate_category_c(report, pool) == expected
+    for given_pool in (pool, training):
+        assert locate_category_c(report, given_pool) == expected
+
+
+def test_each_index_checks_its_labels_when_built():
+    pool = _pool_of((A,), (B,), (C,))
+    pool[2:] = [LabeledCrash(report=pool[2].report, category=Category.C,
+                             true_location="Manifest")]
+    for build, label in ((IndexB.of, "handled-API"), (IndexC.of, "sub-category")):
+        with pytest.raises(SchemaError, match=f"^training crash 2 carries no {label} label$"):
+            build(pool)
+        with pytest.raises(SchemaError, match=f"^training crash 2 carries no {label} label$"):
+            build(SubtraceIndex.of(pool))
+    for build in (IndexB.of, IndexC.of):
+        index = build(pool[:2])
+        assert index.pool == tuple(pool[:2])
+        assert build(index) is index
 
 
 def test_pipeline_indexes_each_pool_once_and_only_when_used(corpus):

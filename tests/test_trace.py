@@ -89,6 +89,21 @@ def test_caused_by_keeps_outer_trace_only(matcher):
     assert report.frames[-1].method_name == "go"
 
 
+# str.splitlines ends a line at each of these; a crash log's lines end at a line feed only.
+LINE_BOUNDARIES = {"U+2028": "\u2028", "U+2029": "\u2029", "U+0085": "\x85", "VT": "\x0b",
+                   "FF": "\x0c", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e"}
+
+
+@pytest.mark.parametrize("char", LINE_BOUNDARIES.values(), ids=LINE_BOUNDARIES.keys())
+def test_only_a_line_feed_ends_a_line(matcher, char):
+    text = LISTING1.replace(" not attached", f" not attached{char}", 1)
+    expected = parse_and_split(LISTING1, matcher)
+    for crlf in (False, True):
+        report = parse_and_split(text.replace("\n", "\r\n") if crlf else text, matcher)
+        assert report.message == f"MainActivityFragment{{e7db358}} not attached{char} to Activity"
+        assert report.frames == expected.frames
+
+
 def test_location_variants_parse(matcher):
     text = (
         "java.lang.Error: x\n"

@@ -58,7 +58,7 @@ def reference_parse_crash_log(text: str) -> dict:
     exception type, and MalformedLog if no frame line parses. Lines after
     the first ``Caused by:`` are discarded.
     """
-    lines = text.splitlines()
+    lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
     while lines and not lines[0].strip():
         lines.pop(0)
     if not lines:
