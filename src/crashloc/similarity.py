@@ -5,7 +5,7 @@ for equality only), normalized to a similarity in [0, 1] by the longer
 sequence length. Similarity depends on the sub-traces alone, so a pool of
 labeled crashes is compared through its ``SubtraceIndex``: each distinct
 sub-trace once, whatever the number of crashes sharing it, and only when
-the index's frame bags and postings cannot prove the score beforehand.
+the index's postings and lengths cannot prove the score beforehand.
 ``edit_distance`` compares two sequences; ``PackedKeys`` compares one text
 with many keys in a single bit-parallel pass, for a locator that needs
 every key's score.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .corpus import LabeledCrash
@@ -42,17 +43,22 @@ class SubtraceIndex:
     ``first`` maps each distinct sub-trace (a key) to the pool position of
     its first crash, in first-occurrence order; a key's id is its ordinal
     in ``first``, ``heads[k]`` is the pool position of key k's first
-    crash, and ``key_ids[i]`` is the id of pool entry i's key. ``bags[k]``
-    is key k's frame multiset, and ``postings`` maps each frame to the ids
-    of the keys holding it, ascending.
+    crash, ``key_ids[i]`` is the id of pool entry i's key and
+    ``lengths[k]`` is key k's length. ``bags[k]`` is key k's frame
+    multiset, ``postings`` maps each frame to the ids of the keys holding
+    it, and ``repeats[frame][j]`` to the ids of the keys holding it at
+    least j + 2 times, only for the frames some key holds more than once;
+    all id lists ascending.
     """
 
     pool: tuple[LabeledCrash, ...]
     first: dict[tuple[str, ...], int]
     heads: tuple[int, ...]
     key_ids: tuple[int, ...]
+    lengths: tuple[int, ...]
     bags: tuple[Counter, ...]
     postings: dict[str, list[int]]
+    repeats: dict[str, list[list[int]]]
 
     @classmethod
     def of(cls, pool: Pool) -> SubtraceIndex:
@@ -63,20 +69,28 @@ class SubtraceIndex:
         key_ids = [0] * len(pool)
         bags = []
         postings: dict[str, list[int]] = {}
+        repeats: dict[str, list[list[int]]] = {}
         for key_id, (key, positions) in enumerate(groups.items()):
             for position in positions:
                 key_ids[position] = key_id
             bag = Counter(key)
             bags.append(bag)
-            for frame in bag:
+            for frame, count in bag.items():
                 postings.setdefault(frame, []).append(key_id)
+                if count > 1:
+                    levels = repeats.setdefault(frame, [])
+                    levels.extend([] for _ in range(count - 1 - len(levels)))
+                    for ids in levels[:count - 1]:
+                        ids.append(key_id)
         return cls(
             pool=tuple(pool),
             first={key: positions[0] for key, positions in groups.items()},
             heads=tuple(positions[0] for positions in groups.values()),
             key_ids=tuple(key_ids),
+            lengths=tuple(map(len, groups)),
             bags=tuple(bags),
             postings=postings,
+            repeats=repeats,
         )
 
     def sharing(self, query: Sequence[str]) -> list[int]:
@@ -223,7 +237,8 @@ def most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
 
     Each distinct sub-trace is scored once, through its first crash. The
     keys that share a frame with the query get their shared-frame count
-    from the postings, and with it the bag-distance bound on their score
+    from the postings, plus the repeats for frames the query holds more
+    than once, and with it the bag-distance bound on their score
     (Bartolini, Ciaccia and Patella, SPIRE 2002): the edit distance is at
     least ``longest - shared``, and ``1.0 - d / longest`` is monotone in d
     under float rounding. They are visited in decreasing bound, ties by key
@@ -238,13 +253,19 @@ def most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
     if not index.pool:
         raise EmptyPool("cannot pick the most similar crash from an empty pool")
     seq = frame_seq(query)
-    shared: dict[int, int] = {}
-    for frame, count in Counter(seq).items():
-        for key_id in index.postings.get(frame, ()):
-            shared[key_id] = shared.get(key_id, 0) + min(count, index.bags[key_id][frame])
+    postings, repeats, lengths = index.postings, index.repeats, index.lengths
+    rows = []  # per query frame f held c times: postings[f], then repeats[f][:c - 1]
+    for frame in set(seq):
+        if frame in postings:
+            rows.append(postings[frame])
+            if frame in repeats:
+                rows += repeats[frame][:seq.count(frame) - 1]
+    n = len(seq)
     order = []  # (negated bound, key id)
-    for key_id, common in shared.items():
-        longest = max(len(seq), len(frame_seq(index.pool[index.heads[key_id]].report)))
+    for key_id, common in Counter(chain.from_iterable(rows)).items():
+        longest = lengths[key_id]
+        if longest < n:
+            longest = n
         order.append((-(1.0 - (longest - common) / longest), key_id))
     order.sort()
     best, best_score = None, -1.0

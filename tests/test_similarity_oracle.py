@@ -21,6 +21,16 @@ far. ``most_similar``, which visits the sharing keys in decreasing bound,
 stops early and answers in closed form when no sharing key scores above
 0.0, must return the same crash and score.
 
+``reference_threshold_most_similar`` is that threshold search as it was
+before the index kept key lengths and repeat lists, kept verbatim: shared
+counts from a Python loop over the postings with the key bags, and each
+key's length read from its crash. On pools of up to 24 crashes over
+alphabets of 1-4 frames, with frames repeated within keys and queries,
+repeated and empty keys, empty queries and keys of 63 to 130 frames,
+``most_similar`` must score the same keys in the same order as it, and
+return the same crash object and the same float as it and as
+``reference_most_similar``.
+
 ``reference_indexed_locate_category_c`` is the Category-C locator that
 scored each sharing sub-trace with its own ``crash_similarity`` call and
 checked the labels on every query, kept verbatim. On random pools over
@@ -36,10 +46,12 @@ import operator
 from collections import Counter
 from functools import reduce
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from crashloc import similarity
 from crashloc.appmodel import ApiRef
 from crashloc.corpus import LabeledCrash
 from crashloc.errors import EmptyPool, SchemaError
@@ -62,6 +74,7 @@ from crashloc.similarity import (
     frame_seq,
     group_by_subtrace,
     most_similar,
+    seq_similarity,
 )
 from crashloc.trace import CrashReport
 
@@ -129,6 +142,50 @@ def reference_most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash
         if score > best_score:
             best, best_score = position, score
     return index.pool[best], best_score
+
+
+def reference_threshold_most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash, float]:
+    """Pool element with the highest similarity; ties keep the earliest.
+
+    Each distinct sub-trace is scored once, through its first crash. The
+    keys that share a frame with the query get their shared-frame count
+    from the postings, and with it the bag-distance bound on their score
+    (Bartolini, Ciaccia and Patella, SPIRE 2002): the edit distance is at
+    least ``longest - shared``, and ``1.0 - d / longest`` is monotone in d
+    under float rounding. They are visited in decreasing bound, ties by key
+    id, until the bound falls below the best score, or equals it at a later
+    key id than the best's: no key left could then win or tie earlier
+    (the threshold algorithm of Fagin, Lotem and Naor, PODS 2001). A key
+    sharing no frame scores exactly 0.0, so when no sharing key scores
+    above 0.0 every key scores 0.0 and the first crash wins, except that an
+    empty query matches the empty key, if there is one, at 1.0.
+    """
+    index = SubtraceIndex.of(pool)
+    if not index.pool:
+        raise EmptyPool("cannot pick the most similar crash from an empty pool")
+    seq = frame_seq(query)
+    shared: dict[int, int] = {}
+    for frame, count in Counter(seq).items():
+        for key_id in index.postings.get(frame, ()):
+            shared[key_id] = shared.get(key_id, 0) + min(count, index.bags[key_id][frame])
+    order = []  # (negated bound, key id)
+    for key_id, common in shared.items():
+        longest = max(len(seq), len(frame_seq(index.pool[index.heads[key_id]].report)))
+        order.append((-(1.0 - (longest - common) / longest), key_id))
+    order.sort()
+    best, best_score = None, -1.0
+    for negated, key_id in order:
+        bound = -negated
+        if bound < best_score or (bound == best_score and key_id > best):
+            break
+        score = crash_similarity(query, index.pool[index.heads[key_id]].report)
+        if score > best_score or (score == best_score and key_id < best):
+            best, best_score = key_id, score
+    if best_score > 0.0:
+        return index.pool[index.heads[best]], best_score
+    if not seq and () in index.first:
+        return index.pool[index.first[()]], 1.0
+    return index.pool[0], 0.0
 
 
 def reference_infer_handled_api(
@@ -384,13 +441,16 @@ X, Y = POOL_ONLY
 def test_threshold_search_matches_the_bounded_scan(pool, query):
     report = make_report(framework=query)
     ref_best, ref_score = reference_most_similar(report, pool)
+    threshold_best, threshold_score = reference_threshold_most_similar(report, pool)
+    assert threshold_best is ref_best and threshold_score == ref_score
     for given_pool in (pool, SubtraceIndex.of(pool)):
         best, score = most_similar(report, given_pool)
         assert best is ref_best and score == ref_score
 
 
-@given(pool=pools())
-def test_index_is_the_bucketing_of_its_pool(pool):
+@given(pool=pools(), query=subtraces)
+@example(pool=_pool_of((A, A, B, A), (A,), (B, B), (A, A)), query=(A, A, A, B, B))
+def test_index_is_the_bucketing_of_its_pool(pool, query):
     index = SubtraceIndex.of(pool)
     groups = group_by_subtrace(pool)
     assert list(index.first) == list(groups)
@@ -400,10 +460,27 @@ def test_index_is_the_bucketing_of_its_pool(pool):
         assert [index.key_ids[p] for p in positions] == [key_id] * len(positions)
     for key_id, key in enumerate(groups):
         assert index.bags[key_id] == Counter(key)
+        assert index.lengths[key_id] == len(key)
+    assert len(index.lengths) == len(groups)
     frames = {frame for key in groups for frame in key}
     assert index.postings == {
         frame: [key_id for key_id, key in enumerate(groups) if frame in key] for frame in frames
     }
+    most = {frame: max(key.count(frame) for key in groups) for frame in frames}
+    assert index.repeats == {
+        frame: [[key_id for key_id, key in enumerate(groups) if key.count(frame) >= level]
+                for level in range(2, most[frame] + 1)]
+        for frame in frames if most[frame] > 1
+    }
+    # A frame the query holds c times adds one for each key on its first c
+    # rows (the postings, then the repeats): min(c, the key's count).
+    bag = Counter(query)
+    counted = Counter()
+    for frame, count in bag.items():
+        for ids in ([index.postings.get(frame, [])] + index.repeats.get(frame, []))[:count]:
+            counted.update(ids)
+    assert [counted[key_id] for key_id in range(len(groups))] == [
+        shared_frames(bag, key_bag) for key_bag in index.bags]
     assert SubtraceIndex.of(index) is index
 
 
@@ -444,11 +521,12 @@ _LONG = (63, 64, 65, 130)
 
 
 @st.composite
-def packed_pools(draw):
-    """A pool over an alphabet of 1-4 frames, so frames repeat within and
-    across keys, and a query over the same alphabet plus a frame no key
-    holds. Keys repeat (as the same crash or a new one under another
-    sub-category), are empty, or run to 63, 64, 65 and 130 frames."""
+def packed_pools(draw, max_crashes=8):
+    """A pool of up to ``max_crashes`` crashes over an alphabet of 1-4
+    frames, so frames repeat within and across keys, and a query over the
+    same alphabet plus a frame no key holds. Keys repeat (as the same crash
+    or a new one under another sub-category), are empty, or run to 63, 64,
+    65 and 130 frames."""
     alphabet = FRAMES[:draw(st.integers(1, len(FRAMES)))]
 
     def sequence(extra=()):
@@ -457,7 +535,7 @@ def packed_pools(draw):
                                    min_size=length, max_size=length)))
 
     pool: list[LabeledCrash] = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, max_crashes))):
         kind = draw(st.sampled_from(("new", "new", "same", "same-subtrace", "empty")))
         sub = draw(st.sampled_from(SUB_CATEGORIES))
         if kind == "same" and pool:
@@ -486,6 +564,40 @@ def test_packed_pass_matches_edit_distance_and_both_references(drawn):
     assert reference_indexed_locate_category_c(report, pool) == expected
     for given_pool in (pool, training):
         assert locate_category_c(report, given_pool) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=packed_pools(max_crashes=24))
+# Repeated frames in the query and in the keys: the shared counts need
+# the repeat lists up to the query's count of each frame.
+@example(drawn=(_pool_of((A, A, B), (A, B, B, A), (A,) * 3, (B, A)), (A, A, B, A)))
+@example(drawn=(_pool_of((A,) * 130, (A, B) * 65, (B,) * 64, ()), (A, B) * 40))
+@example(drawn=(_pool_of((), (A,)), ()))
+def test_threshold_search_visits_the_same_keys_and_matches_both_references(drawn):
+    pool, query = drawn
+    report = make_report(framework=query)
+    ref_best, ref_score = reference_most_similar(report, pool)
+    (threshold_best, threshold_score), visited = _scored_keys(
+        reference_threshold_most_similar, report, pool)
+    assert threshold_best is ref_best and threshold_score == ref_score
+    for given_pool in (pool, SubtraceIndex.of(pool)):
+        (best, score), keys = _scored_keys(most_similar, report, given_pool)
+        assert best is ref_best and score == ref_score
+        # The same bounds and tie rule: the same keys scored, in the same order.
+        assert keys == visited
+
+
+def _scored_keys(search, report, pool):
+    """``search(report, pool)`` and the sub-traces it scored, in order."""
+    scored = []
+
+    def spy(query, other):
+        scored.append(frame_seq(other))
+        return seq_similarity(frame_seq(query), frame_seq(other))
+
+    with mock.patch.object(similarity, "crash_similarity", spy), \
+            mock.patch.dict(globals(), {"crash_similarity": spy}):
+        return search(report, pool), scored
 
 
 def test_each_index_checks_its_labels_when_built():
