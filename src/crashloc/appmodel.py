@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
-    DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text, within,
+    DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text,
 )
 
 API_KIND_CALL_IN = "call-in"
@@ -84,8 +84,10 @@ class ApiRef:
     @classmethod
     def from_json_obj(cls, obj: dict, pointer: str = "") -> "ApiRef":
         values = [expect(obj, key, str, pointer) for key in ("class_name", "method_name", "kind")]
-        with within(pointer):
+        try:
             return cls(*values)
+        except SchemaError as exc:
+            raise SchemaError(exc.message, pointer + exc.pointer) from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,8 +189,10 @@ def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") ->
     ``)``; the signature holds no ``(`` or ``)`` and is split at commas.
     One ``"\\n"`` after the closing ``)`` is ignored.
     """
-    cls, _, rest = (text[:-1] if text.endswith(")\n") else text).partition("#")
-    if rest.endswith(")"):
+    cls, _, rest = text.partition("#")
+    if rest[-1:] == "\n" and rest[-2:] == ")\n":
+        rest = rest[:-1]
+    if rest[-1:] == ")":
         method, paren, sig_text = rest[:-1].partition("(")
         ok = paren and "(" not in sig_text and ")" not in sig_text
     else:
@@ -199,10 +203,11 @@ def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") ->
         raise SchemaError(f"bad method reference {text!r}, expected class#method(sig)", pointer)
     if sig_text is None:
         signature = None
-    elif not sig_text.strip():
-        signature = ()
+    elif "," in sig_text:
+        signature = tuple(map(str.strip, sig_text.split(",")))
     else:
-        signature = tuple(part.strip() for part in sig_text.split(","))
+        sig_text = sig_text.strip()
+        signature = (sig_text,) if sig_text else ()
     return MethodRef(cls, method, signature, is_developer)
 
 
@@ -214,102 +219,173 @@ def load_app_model(path: str | Path) -> AppModel:
 
 
 def app_model_from_json(obj: dict) -> AppModel:
-    # A callback text and a resolved reference text are each parsed once
-    # per load; a reference's pointer is built only for its error.
+    # One pass over the model. A value of its JSON type passes a ``type(v)
+    # is T`` test in place; any other value goes to the shape check that
+    # reports it (``expect``, ``expect_items``), so an error's message and
+    # pointer are built only for the value that fails, and a list's items
+    # are all checked before the first is used. A callback text and a
+    # resolved reference text are each parsed once per load.
     callbacks: dict = {}  # text -> the non-overridden callback it names
     resolved: dict = {}  # text -> the declared method, or the API a callee names
     classes: dict = {}
     declared: set = set()  # canonical strings of the active methods
-    for ci, centry in enumerate(expect(obj, "classes", list, "")):
-        ptr = f"/classes/{ci}"
-        name = expect(centry, "name", str, ptr)
+    top = obj if type(obj) is dict else {}
+    centries = top.get("classes")
+    if type(centries) is not list:
+        centries = expect(obj, "classes", list, "")
+    for ci, centry in enumerate(centries):
+        entry = centry if type(centry) is dict else {}
+        name = entry.get("name")
+        if type(name) is not str:
+            name = expect(centry, "name", str, f"/classes/{ci}")
         if name in classes:
-            raise SchemaError(f"class {name!r} declared twice", f"{ptr}/name")
-        supers = tuple(expect_items(expect(centry, "superclasses", list, ptr), str,
-                                    f"{ptr}/superclasses"))
+            raise SchemaError(f"class {name!r} declared twice", f"/classes/{ci}/name")
+        supers = entry.get("superclasses")
+        if type(supers) is not list:
+            supers = expect(centry, "superclasses", list, f"/classes/{ci}")
+        for text in supers:
+            if type(text) is not str:
+                expect_items(supers, str, f"/classes/{ci}/superclasses")
+                break
+        supers = tuple(supers)
+        texts = entry.get("active_methods")
+        if type(texts) is not list:
+            texts = expect(centry, "active_methods", list, f"/classes/{ci}")
+        for text in texts:
+            if type(text) is not str:
+                expect_items(texts, str, f"/classes/{ci}/active_methods")
+                break
         active = []
-        aptr = f"{ptr}/active_methods"
-        for mi, mtext in enumerate(expect_items(expect(centry, "active_methods", list, ptr),
-                                                str, aptr)):
-            ref = _parse_at(mtext, True, aptr, mi)
+        for mi, mtext in enumerate(texts):
+            try:
+                ref = parse_method_ref(mtext)
+            except SchemaError as exc:
+                raise SchemaError(exc.message, f"/classes/{ci}/active_methods/{mi}") from None
             canonical = ref.canonical()
             if ref.class_name != name:
                 raise SchemaError(f"active method {canonical!r} is not declared in {name!r}",
-                                  f"{aptr}/{mi}")
+                                  f"/classes/{ci}/active_methods/{mi}")
             if canonical in declared:
-                raise SchemaError(f"method {canonical!r} declared twice", f"{aptr}/{mi}")
+                raise SchemaError(f"method {canonical!r} declared twice",
+                                  f"/classes/{ci}/active_methods/{mi}")
             declared.add(canonical)
             resolved[mtext] = ref
             active.append(ref)
         # A superclass listed twice ranks at its last position.
         chain_pos = {cls: i for i, cls in enumerate(supers)}
+        texts = entry.get("non_overridden_callbacks")
+        if type(texts) is not list:
+            texts = expect(centry, "non_overridden_callbacks", list, f"/classes/{ci}")
+        for text in texts:
+            if type(text) is not str:
+                expect_items(texts, str, f"/classes/{ci}/non_overridden_callbacks")
+                break
         ncs = []
-        nptr = f"{ptr}/non_overridden_callbacks"
-        for mi, mtext in enumerate(expect_items(
-                expect(centry, "non_overridden_callbacks", list, ptr), str, nptr)):
+        for mi, mtext in enumerate(texts):
             ref = callbacks.get(mtext)
             if ref is None:
-                ref = callbacks[mtext] = _parse_at(mtext, False, nptr, mi)
+                try:
+                    ref = callbacks[mtext] = parse_method_ref(mtext, False)
+                except SchemaError as exc:
+                    raise SchemaError(exc.message,
+                                      f"/classes/{ci}/non_overridden_callbacks/{mi}") from None
             if ref.class_name not in chain_pos:
                 raise DanglingRef(
                     f"callback {ref.canonical()!r} is defined outside the "
                     f"superclass chain of {name!r}",
-                    f"{nptr}/{mi}",
+                    f"/classes/{ci}/non_overridden_callbacks/{mi}",
                 )
             ncs.append(ref)
-        overlap = {(m.method_name, m.signature) for m in active} & {
-            (m.method_name, m.signature) for m in ncs
-        }
-        if overlap:
-            raise SchemaError(f"methods both active and non-overridden in {name!r}: "
-                              f"{sorted(overlap, key=str)}", ptr)
-        classes[name] = ClassDef(
-            name=name,
-            superclasses=supers,
-            active_methods=tuple(active),
-            non_overridden_callbacks=tuple(
-                sorted(ncs, key=lambda nc: chain_pos[nc.class_name])),
-        )
+        if active and ncs:
+            overlap = {(m.method_name, m.signature) for m in active} & {
+                (m.method_name, m.signature) for m in ncs
+            }
+            if overlap:
+                raise SchemaError(f"methods both active and non-overridden in {name!r}: "
+                                  f"{sorted(overlap, key=str)}", f"/classes/{ci}")
+        if len(ncs) > 1:
+            ncs.sort(key=lambda nc: chain_pos[nc.class_name])
+        classes[name] = ClassDef(name, supers, tuple(active), tuple(ncs))
 
-    apis = tuple(
-        ApiRef.from_json_obj(a, f"/apis/{ai}")
-        for ai, a in enumerate(expect(obj, "apis", list, ""))
-    )
+    aentries = top.get("apis")
+    if type(aentries) is not list:
+        aentries = expect(obj, "apis", list, "")
+    apis = []
+    for ai, a in enumerate(aentries):
+        if type(a) is dict:
+            class_name, method_name, kind = a.get("class_name"), a.get("method_name"), a.get("kind")
+            if (type(class_name) is str and type(method_name) is str and type(kind) is str
+                    and kind in API_KINDS):
+                apis.append(ApiRef(class_name, method_name, kind))
+                continue
+        apis.append(ApiRef.from_json_obj(a, f"/apis/{ai}"))
+    apis = tuple(apis)
     api_names = {(a.class_name, a.method_name) for a in apis}
 
-    def resolve(text: str, what: str, pointer: str, key) -> MethodRef:
-        """The declared method ``text`` names; for a callee, else the API it names."""
+    def resolve(text: str, what: str, *keys) -> MethodRef:
+        """The declared method ``text`` names; for a callee, else the API it
+        names. ``keys`` locate ``text`` in the model, for an error."""
         ref = resolved.get(text)
         if ref is None:
-            ref = _parse_at(text, True, pointer, key)
+            try:
+                ref = parse_method_ref(text)
+            except SchemaError as exc:
+                raise SchemaError(exc.message, _pointer(keys)) from None
             if ref.canonical() not in declared:
                 if (ref.class_name, ref.method_name) not in api_names:
-                    raise _undeclared(ref, what, f"{pointer}/{key}")
+                    raise _undeclared(ref, what, _pointer(keys))
                 ref = MethodRef(ref.class_name, ref.method_name, ref.signature, False)
             resolved[text] = ref
         if not ref.is_developer and what != "callee":
-            raise _undeclared(ref, what, f"{pointer}/{key}")
+            raise _undeclared(ref, what, _pointer(keys))
         return ref
 
+    ientries = top.get("invocations")
+    if type(ientries) is not list:
+        ientries = expect(obj, "invocations", list, "")
     invocations = []
-    for ii, ientry in enumerate(expect(obj, "invocations", list, "")):
-        ptr = f"/invocations/{ii}"
-        caller = resolve(expect(ientry, "caller", str, ptr), "caller", ptr, "caller")
-        cptr = f"{ptr}/callees"
-        callees = tuple(
-            resolve(c, "callee", cptr, ci)
-            for ci, c in enumerate(expect_items(expect(ientry, "callees", list, ptr), str, cptr))
-        )
-        invocations.append((caller, callees))
+    for ii, ientry in enumerate(ientries):
+        entry = ientry if type(ientry) is dict else {}
+        text = entry.get("caller")
+        if type(text) is not str:
+            text = expect(ientry, "caller", str, f"/invocations/{ii}")
+        caller = resolved.get(text)
+        if caller is None or not caller.is_developer:
+            caller = resolve(text, "caller", "invocations", ii, "caller")
+        texts = entry.get("callees")
+        if type(texts) is not list:
+            texts = expect(ientry, "callees", list, f"/invocations/{ii}")
+        for text in texts:
+            if type(text) is not str:
+                expect_items(texts, str, f"/invocations/{ii}/callees")
+                break
+        callees = []
+        for ci, text in enumerate(texts):
+            callees.append(resolved.get(text) or resolve(text, "callee", "invocations", ii,
+                                                          "callees", ci))
+        invocations.append((caller, tuple(callees)))
 
+    pentries = top.get("param_flows")
+    if type(pentries) is not list:
+        pentries = expect(obj, "param_flows", list, "")
     param_flows = []
-    for pi, pentry in enumerate(expect(obj, "param_flows", list, "")):
-        ptr = f"/param_flows/{pi}"
-        callee = resolve(expect(pentry, "callee", str, ptr), "param flow callee", ptr, "callee")
-        position = expect(pentry, "position", int, ptr)
+    for pi, pentry in enumerate(pentries):
+        entry = pentry if type(pentry) is dict else {}
+        text = entry.get("callee")
+        if type(text) is not str:
+            text = expect(pentry, "callee", str, f"/param_flows/{pi}")
+        callee = resolved.get(text)
+        if callee is None or not callee.is_developer:
+            callee = resolve(text, "param flow callee", "param_flows", pi, "callee")
+        position = entry.get("position")
+        if type(position) is not int:
+            position = expect(pentry, "position", int, f"/param_flows/{pi}")
         if position < 0:
-            raise SchemaError("position must be >= 0", f"{ptr}/position")
-        param_flows.append((callee, position, expect(pentry, "class_name", str, ptr)))
+            raise SchemaError("position must be >= 0", f"/param_flows/{pi}/position")
+        class_name = entry.get("class_name")
+        if type(class_name) is not str:
+            class_name = expect(pentry, "class_name", str, f"/param_flows/{pi}")
+        param_flows.append((callee, position, class_name))
 
     return AppModel(
         classes=classes,
@@ -319,12 +395,9 @@ def app_model_from_json(obj: dict) -> AppModel:
     )
 
 
-def _parse_at(text: str, is_developer: bool, pointer: str, key) -> MethodRef:
-    """``parse_method_ref``, raising at ``pointer``/``key``."""
-    try:
-        return parse_method_ref(text, is_developer)
-    except SchemaError as exc:
-        raise SchemaError(exc.message, f"{pointer}/{key}") from None
+def _pointer(keys) -> str:
+    """The JSON pointer to the value at ``keys``, from the document's root."""
+    return "".join(f"/{key}" for key in keys)
 
 
 def _undeclared(ref: MethodRef, what: str, pointer: str) -> DanglingRef:

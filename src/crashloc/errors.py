@@ -78,10 +78,12 @@ def parse_json(text: str, what: str, pointer: str = "/"):
 
 
 def read_text(path: str | Path, what: str) -> str:
-    """The text of the UTF-8 file at ``path``; SchemaError naming ``what``
+    """The text of the UTF-8 file at ``path``, read in text mode so that
+    ``"\\r\\n"`` and ``"\\r"`` read as ``"\\n"``; SchemaError naming ``what``
     and the file if it cannot be read or decoded."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -300,8 +300,11 @@ def test_bad_api_kind_rejected():
      "class 'a.B' declared twice"),
     ({"classes": [_class("a.B", active=["a.B#m()", "a.C#m()"])]}, "/classes/0/active_methods/1",
      "active method 'a.C#m()' is not declared in 'a.B'"),
+    ({"apis": [{"class_name": "a.B", "method_name": "m", "kind": "weird"}]}, "/apis/0/kind",
+     "api kind must be one of ('call-in', 'callback'), got 'weird'"),
 ], ids=["api-kind", "api-class", "api-not-object", "superclass", "declared-twice",
-        "active-and-callback", "class-declared-twice", "active-in-another-class"])
+        "active-and-callback", "class-declared-twice", "active-in-another-class",
+        "api-kind-unknown"])
 def test_mistyped_or_conflicting_entries_rejected_with_pointer(kwargs, pointer, message):
     with pytest.raises(SchemaError) as exc:
         _model(**kwargs)
@@ -315,6 +318,19 @@ def test_load_rejects_non_json(tmp_path):
         load_app_model(bad)
     with pytest.raises(SchemaError):
         load_app_model(tmp_path / "missing.json")
+
+
+def test_crlf_app_model_is_read_with_newlines_translated(tmp_path):
+    # A binary read would count each "\r" and report char 28.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{\r\n"classes": [],\r\n"apis": [}\r\n')
+    with pytest.raises(SchemaError) as exc:
+        load_app_model(bad)
+    assert "line 3 column 10 (char 26)" in exc.value.message
+    original = APP_MODELS / "geography.json"
+    crlf = tmp_path / "geography.json"
+    crlf.write_bytes(original.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_app_model(crlf) == load_app_model(original)
 
 
 def test_geography_json_uses_exact_schema_keys():

@@ -16,10 +16,17 @@ oracle for the batched pass of ``link_scores``, which the locator now
 calls: its float order and the reachability memo's keys.
 ``reference_parse_method_ref`` is the regex-only reference parser, and
 ``reference_app_model_from_json`` the loader that parsed every reference
-occurrence with it, kept verbatim but for the name of the parser it calls;
-they are the oracles for ``parse_method_ref``, which splits with
+occurrence with it, kept verbatim but for the names of the parsers it
+calls; they are the oracles for ``parse_method_ref``, which splits with
 ``str.partition`` alone, and for the loader that parses each distinct
 callback text and each distinct resolved reference text once.
+``checked_app_model_from_json`` is that loader as it was before its shape
+checks ran inline: it sends every value through ``expect`` and
+``expect_items`` and builds each pointer up front. It is kept verbatim but
+for its name and its API parser, ``reference_api_from_json_obj``, which is
+``ApiRef.from_json_obj`` as it was when it re-raised through ``within``.
+The loader must agree with both loaders on every input, down to which of
+several bad values it reports.
 """
 from __future__ import annotations
 
@@ -39,6 +46,7 @@ from crashloc.appmodel import (
     AppModel,
     ClassDef,
     MethodRef,
+    _undeclared,
     app_model_from_json,
     inherits_from,
     invokers_of,
@@ -47,7 +55,9 @@ from crashloc.appmodel import (
     parse_method_ref,
 )
 from crashloc.corpus import Category, LabeledCrash
-from crashloc.errors import DanglingRef, SchemaError, expect, expect_items
+from crashloc.errors import (
+    ArtifactError, DanglingRef, SchemaError, expect, expect_items, within,
+)
 from crashloc.localizer import (
     LocalizationResult,
     Location,
@@ -499,6 +509,12 @@ def reference_parse_method_ref(text: str, is_developer: bool = True,
     )
 
 
+def reference_api_from_json_obj(obj: dict, pointer: str = "") -> ApiRef:
+    values = [expect(obj, key, str, pointer) for key in ("class_name", "method_name", "kind")]
+    with within(pointer):
+        return ApiRef(*values)
+
+
 def reference_app_model_from_json(obj: dict) -> AppModel:
     classes: dict = {}
     declared: set = set()  # canonical strings of the active methods
@@ -552,7 +568,7 @@ def reference_app_model_from_json(obj: dict) -> AppModel:
         )
 
     apis = tuple(
-        ApiRef.from_json_obj(a, f"/apis/{ai}")
+        reference_api_from_json_obj(a, f"/apis/{ai}")
         for ai, a in enumerate(expect(obj, "apis", list, ""))
     )
     api_names = {(a.class_name, a.method_name) for a in apis}
@@ -604,6 +620,120 @@ def reference_app_model_from_json(obj: dict) -> AppModel:
     )
 
 
+def checked_app_model_from_json(obj: dict) -> AppModel:
+    # A callback text and a resolved reference text are each parsed once
+    # per load; a reference's pointer is built only for its error.
+    callbacks: dict = {}  # text -> the non-overridden callback it names
+    resolved: dict = {}  # text -> the declared method, or the API a callee names
+    classes: dict = {}
+    declared: set = set()  # canonical strings of the active methods
+    for ci, centry in enumerate(expect(obj, "classes", list, "")):
+        ptr = f"/classes/{ci}"
+        name = expect(centry, "name", str, ptr)
+        if name in classes:
+            raise SchemaError(f"class {name!r} declared twice", f"{ptr}/name")
+        supers = tuple(expect_items(expect(centry, "superclasses", list, ptr), str,
+                                    f"{ptr}/superclasses"))
+        active = []
+        aptr = f"{ptr}/active_methods"
+        for mi, mtext in enumerate(expect_items(expect(centry, "active_methods", list, ptr),
+                                                str, aptr)):
+            ref = _parse_at(mtext, True, aptr, mi)
+            canonical = ref.canonical()
+            if ref.class_name != name:
+                raise SchemaError(f"active method {canonical!r} is not declared in {name!r}",
+                                  f"{aptr}/{mi}")
+            if canonical in declared:
+                raise SchemaError(f"method {canonical!r} declared twice", f"{aptr}/{mi}")
+            declared.add(canonical)
+            resolved[mtext] = ref
+            active.append(ref)
+        # A superclass listed twice ranks at its last position.
+        chain_pos = {cls: i for i, cls in enumerate(supers)}
+        ncs = []
+        nptr = f"{ptr}/non_overridden_callbacks"
+        for mi, mtext in enumerate(expect_items(
+                expect(centry, "non_overridden_callbacks", list, ptr), str, nptr)):
+            ref = callbacks.get(mtext)
+            if ref is None:
+                ref = callbacks[mtext] = _parse_at(mtext, False, nptr, mi)
+            if ref.class_name not in chain_pos:
+                raise DanglingRef(
+                    f"callback {ref.canonical()!r} is defined outside the "
+                    f"superclass chain of {name!r}",
+                    f"{nptr}/{mi}",
+                )
+            ncs.append(ref)
+        overlap = {(m.method_name, m.signature) for m in active} & {
+            (m.method_name, m.signature) for m in ncs
+        }
+        if overlap:
+            raise SchemaError(f"methods both active and non-overridden in {name!r}: "
+                              f"{sorted(overlap, key=str)}", ptr)
+        classes[name] = ClassDef(
+            name=name,
+            superclasses=supers,
+            active_methods=tuple(active),
+            non_overridden_callbacks=tuple(
+                sorted(ncs, key=lambda nc: chain_pos[nc.class_name])),
+        )
+
+    apis = tuple(
+        reference_api_from_json_obj(a, f"/apis/{ai}")
+        for ai, a in enumerate(expect(obj, "apis", list, ""))
+    )
+    api_names = {(a.class_name, a.method_name) for a in apis}
+
+    def resolve(text: str, what: str, pointer: str, key) -> MethodRef:
+        """The declared method ``text`` names; for a callee, else the API it names."""
+        ref = resolved.get(text)
+        if ref is None:
+            ref = _parse_at(text, True, pointer, key)
+            if ref.canonical() not in declared:
+                if (ref.class_name, ref.method_name) not in api_names:
+                    raise _undeclared(ref, what, f"{pointer}/{key}")
+                ref = MethodRef(ref.class_name, ref.method_name, ref.signature, False)
+            resolved[text] = ref
+        if not ref.is_developer and what != "callee":
+            raise _undeclared(ref, what, f"{pointer}/{key}")
+        return ref
+
+    invocations = []
+    for ii, ientry in enumerate(expect(obj, "invocations", list, "")):
+        ptr = f"/invocations/{ii}"
+        caller = resolve(expect(ientry, "caller", str, ptr), "caller", ptr, "caller")
+        cptr = f"{ptr}/callees"
+        callees = tuple(
+            resolve(c, "callee", cptr, ci)
+            for ci, c in enumerate(expect_items(expect(ientry, "callees", list, ptr), str, cptr))
+        )
+        invocations.append((caller, callees))
+
+    param_flows = []
+    for pi, pentry in enumerate(expect(obj, "param_flows", list, "")):
+        ptr = f"/param_flows/{pi}"
+        callee = resolve(expect(pentry, "callee", str, ptr), "param flow callee", ptr, "callee")
+        position = expect(pentry, "position", int, ptr)
+        if position < 0:
+            raise SchemaError("position must be >= 0", f"{ptr}/position")
+        param_flows.append((callee, position, expect(pentry, "class_name", str, ptr)))
+
+    return AppModel(
+        classes=classes,
+        invocations=tuple(invocations),
+        param_flows=tuple(param_flows),
+        apis=apis,
+    )
+
+
+def _parse_at(text: str, is_developer: bool, pointer: str, key) -> MethodRef:
+    """``parse_method_ref``, raising at ``pointer``/``key``."""
+    try:
+        return parse_method_ref(text, is_developer)
+    except SchemaError as exc:
+        raise SchemaError(exc.message, f"{pointer}/{key}") from None
+
+
 def _outcome(function, *args):
     """The function's result, or its error's type, text and pointer."""
     try:
@@ -614,7 +744,9 @@ def _outcome(function, *args):
 
 def assert_loads_like_reference(obj) -> None:
     expected = _outcome(reference_app_model_from_json, copy.deepcopy(obj))
+    checked = _outcome(checked_app_model_from_json, copy.deepcopy(obj))
     actual = _outcome(app_model_from_json, obj)
+    assert checked == expected
     assert actual == expected
     if isinstance(expected, AppModel):
         assert actual.call_graph == expected.call_graph
@@ -639,29 +771,30 @@ _REF_CHARS = "abAB#(), \n"
 
 
 @st.composite
-def corrupted_app_model_json(draw):
-    """An ``app_model_json`` model with one member or item deleted or replaced:
-    a text mostly by an edit of itself or by another text of the model,
-    anything by a value of any JSON type."""
+def corrupted_app_model_json(draw, edits: int = 1):
+    """An ``app_model_json`` model with ``edits`` times one member or item
+    deleted or replaced: a text mostly by an edit of itself or by another
+    text of the model, anything by a value of any JSON type."""
     obj = draw(app_model_json())
-    # Deepest first, as the draw favours the first path: the reference texts.
-    paths = sorted(json_fields(obj), key=len, reverse=True)
-    values = [reduce(getitem, path, obj) for path in paths]
-    i = draw(st.integers(0, len(paths) - 1))
-    path, current = paths[i], values[i]
-    text = st.text(_REF_CHARS, max_size=10)
-    value = st.one_of(text, st.integers(-2, 3), st.booleans(), st.none(),
-                      st.lists(text, max_size=2), st.just({}), st.just(_DELETE))
-    if isinstance(current, str):
-        texts = sorted({v for v in values if isinstance(v, str)})
-        value = st.sampled_from(_TEXT_EDITS).map(lambda edit: edit(current)) | st.sampled_from(
-            texts) | value
-    value = draw(value)
-    parent = reduce(getitem, path[:-1], obj)
-    if value is _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    for _ in range(edits):
+        # Deepest first, as the draw favours the first path: the reference texts.
+        paths = sorted(json_fields(obj), key=len, reverse=True)
+        values = [reduce(getitem, path, obj) for path in paths]
+        i = draw(st.integers(0, len(paths) - 1))
+        path, current = paths[i], values[i]
+        text = st.text(_REF_CHARS, max_size=10)
+        value = st.one_of(text, st.integers(-2, 3), st.booleans(), st.none(),
+                          st.lists(text, max_size=2), st.just({}), st.just(_DELETE))
+        if isinstance(current, str):
+            texts = sorted({v for v in values if isinstance(v, str)})
+            value = st.sampled_from(_TEXT_EDITS).map(
+                lambda edit: edit(current)) | st.sampled_from(texts) | value
+        value = draw(value)
+        parent = reduce(getitem, path[:-1], obj)
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
     return obj
 
 
@@ -701,6 +834,92 @@ def test_loader_matches_reference_on_random_models(obj):
 @given(corrupted_app_model_json())
 def test_loader_matches_reference_on_single_field_corruptions(obj):
     assert_loads_like_reference(obj)
+
+
+# A valid model that the two-fault cases below break in two places.
+_TWO_FAULT_BASE = {
+    "classes": [{"name": "com.app.Main", "superclasses": ["android.app.Activity"],
+                 "active_methods": ["com.app.Main#run()", "com.app.Main#stop(long)"],
+                 "non_overridden_callbacks": ["android.app.Activity#onStart()"]},
+                {"name": "com.app.Helper", "superclasses": ["java.lang.Object"],
+                 "active_methods": ["com.app.Helper#run(int)"], "non_overridden_callbacks": []}],
+    "invocations": [{"caller": "com.app.Main#run()",
+                     "callees": ["com.app.Helper#run(int)", "android.app.Service#bindService"]},
+                    {"caller": "com.app.Helper#run(int)", "callees": []}],
+    "param_flows": [{"callee": "com.app.Helper#run(int)", "position": 0,
+                     "class_name": "com.app.Main"}],
+    "apis": [{"class_name": "android.app.Service", "method_name": "bindService",
+              "kind": "call-in"}],
+}
+# case -> (two (path, value) edits of the base model, the pointer of the
+# error that fires first). _DELETE deletes the member.
+_TWO_FAULTS = {
+    "entry-not-object-after-bad-api-kind": (
+        [(("invocations", 0), "com.app.Main#run()"), (("apis", 0, "kind"), "weird")],
+        "/apis/0/kind"),
+    "class-not-object-after-callback-outside-chain": (
+        [(("classes", 1), "com.app.Helper"),
+         (("classes", 0, "non_overridden_callbacks", 0), "android.app.Service#onStart()")],
+        "/classes/0/non_overridden_callbacks/0"),
+    "superclass-number-before-bad-active-method": (
+        [(("classes", 0, "superclasses"), ["android.app.Activity", 5]),
+         (("classes", 0, "active_methods", 0), "com.app.Main#run(")],
+        "/classes/0/superclasses/1"),
+    "active-method-number-before-bad-earlier-item": (
+        [(("classes", 0, "active_methods"), ["com.app.Main#run(", 5]),
+         (("classes", 1, "name"), "com.app.Main")],
+        "/classes/0/active_methods/1"),
+    "callees-string-after-undeclared-caller": (
+        [(("invocations", 0, "callees"), "com.app.Helper#run(int)"),
+         (("invocations", 0, "caller"), "com.app.Gone#x()")],
+        "/invocations/0/caller"),
+    "callees-string-before-later-undeclared-caller": (
+        [(("invocations", 0, "callees"), "com.app.Helper#run(int)"),
+         (("invocations", 1, "caller"), "com.app.Gone#x()")],
+        "/invocations/0/callees"),
+    "position-true-after-undeclared-callee": (
+        [(("param_flows", 0, "position"), True), (("param_flows", 0, "callee"), "com.app.Gone#x")],
+        "/param_flows/0/callee"),
+    "position-true-before-missing-class-name": (
+        [(("param_flows", 0, "position"), True), (("param_flows", 0, "class_name"), _DELETE)],
+        "/param_flows/0/position"),
+    "missing-caller-before-number-callee": (
+        [(("invocations", 0, "caller"), _DELETE), (("invocations", 0, "callees", 0), 5)],
+        "/invocations/0"),
+}
+
+
+def _two_faults(case: str) -> dict:
+    obj = copy.deepcopy(_TWO_FAULT_BASE)
+    for path, value in _TWO_FAULTS[case][0]:
+        parent = reduce(getitem, path[:-1], obj)
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return obj
+
+
+def _at_each_two_fault_case(test):
+    for case in _TWO_FAULTS:
+        test = example(_two_faults(case))(test)
+    return test
+
+
+# When more than one value is bad, the error that fires is the first one in
+# load order, as in both oracles.
+@settings(max_examples=300, deadline=None)
+@given(corrupted_app_model_json(edits=2))
+@_at_each_two_fault_case
+def test_loader_matches_reference_on_two_field_corruptions(obj):
+    assert_loads_like_reference(obj)
+
+
+@pytest.mark.parametrize("case", _TWO_FAULTS)
+def test_first_of_two_faults_is_reported(case):
+    with pytest.raises(ArtifactError) as exc:
+        app_model_from_json(_two_faults(case))
+    assert exc.value.pointer == _TWO_FAULTS[case][1]
 
 
 @pytest.mark.parametrize("name", ["fengshui.json", "geography.json"])

@@ -202,6 +202,17 @@ def test_true_location_must_fit_the_category(tmp_path, matcher, category, true_l
     assert exc.value.pointer == "/1/true_location"
 
 
+def test_unknown_api_kind_is_reported_at_its_key(tmp_path, matcher):
+    entry = _entry(category="B",
+                   api_h={"class_name": "android.app.A", "method_name": "m", "kind": "weird"})
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(_entry()) + "\n" + json.dumps(entry) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_corpus(path, matcher)
+    assert (exc.value.pointer, exc.value.message) == (
+        "/1/api_h/kind", "api kind must be one of ('call-in', 'callback'), got 'weird'")
+
+
 def test_app_model_paths_resolve_against_corpus_dir(tmp_path, matcher):
     entry = _entry(
         category="B",
