@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,9 +28,9 @@ from .appmodel import load_app_model
 from .config import Config
 from .corpus import CATEGORIES, Category, LabeledCrash
 from .errors import CorpusTooSmall, CrashLocError, EmptySet
-from .features import build_vocabulary, chi_square_select, set_bits
+from .features import build_vocabulary, chi_square_select, document_frequencies
 from .localizer import Pipeline
-from .nb import train_bits
+from .nb import train_counts
 from .similarity import group_by_subtrace
 
 # Unused here: bound only so that bench/tracer.py can wrap them under these names.
@@ -183,14 +184,17 @@ class EvalReport:
 def fit(train: Sequence[LabeledCrash], config: Config) -> Pipeline:
     """Train Phase 1 (vocabulary, chi-square selection, NB) and keep the Phase-2 pools.
 
-    Each crash's tokens are taken once (``CrashReport.tokens``); the NB
-    counts come from their set-bit positions (``train_bits``), which gives
-    the model of ``vectorize`` and ``train`` without dense vectors.
+    Each training crash's tokens (``CrashReport.tokens``) are counted once,
+    into one per-category document-frequency table. Chi-square scores the
+    vocabulary from it, and the NB counts are the same table read at the
+    selected words, which gives the model of ``vectorize`` and ``train``
+    without dense vectors or set-bit rows.
     """
     vocab = build_vocabulary(train)
-    selected = chi_square_select(vocab, train, config.chi2_ratio)
-    rows = [(set_bits(crash.report, selected), crash.category) for crash in train]
-    nb_model = train_bits(rows, len(selected), config.nb_smoothing, selected)
+    totals, doc_freq = table = document_frequencies(train)
+    selected = chi_square_select(vocab, train, config.chi2_ratio, doc_freq=table)
+    ones = [list(map(freq.get, selected.selected, repeat(0))) for freq in doc_freq]
+    nb_model = train_counts(totals, ones, config.nb_smoothing, selected)
     return Pipeline(nb_model, tuple(train), config.links_depth)
 
 

@@ -5,10 +5,11 @@ qualified names of the framework sub-trace frames (split on "."), and the
 crash message (split on whitespace). Tokens are case-preserved, never
 stemmed or lower-cased; ``CrashReport.tokens`` takes them once per report.
 Vocabulary words are scored with a chi-square test against the category
-labels and only the top fraction is kept. A word's score depends only on
-its per-category document counts, so each distinct count tuple is scored
-once. ``set_bits`` gives the feature positions of a report's tokens,
-which ``vectorize`` spreads into a dense vector.
+labels and only the top fraction is kept. ``document_frequencies`` counts
+each crash's tokens once into per-category document counts; a word's
+score depends only on its tuple of those counts, so each distinct tuple
+is scored once. ``set_bits`` gives the feature positions of a report's
+tokens, which ``vectorize`` spreads into a dense vector.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Sequence
 
-from .corpus import LabeledCrash
+from .corpus import CATEGORIES, LabeledCrash
 from .errors import NUMBER, EmptyCorpus, SchemaError, expect, expect_between, expect_items
 from .trace import CrashReport
 
@@ -118,30 +119,37 @@ def _rank_and_cut(words: Sequence[str], scores: Sequence[float], ratio: float) -
     return tuple(words[i] for i in order[:keep])
 
 
+def document_frequencies(corpus: Sequence[LabeledCrash]) -> tuple[list[int], list[Counter]]:
+    """``(totals, doc_freq)`` in ``CATEGORIES`` order: ``totals[k]`` counts the
+    crashes of category k and ``doc_freq[k][word]`` those of them holding
+    ``word``. Each crash's token tuple is read once."""
+    tokens = {category: [] for category in CATEGORIES}
+    for crash in corpus:
+        tokens[crash.category].append(crash.report.tokens)
+    return ([len(tokens[c]) for c in CATEGORIES],
+            [Counter(chain.from_iterable(tokens[c])) for c in CATEGORIES])
+
+
 def chi_square_select(
-    vocab: Vocabulary, corpus: Sequence[LabeledCrash], ratio: float
+    vocab: Vocabulary, corpus: Sequence[LabeledCrash], ratio: float,
+    *, doc_freq: tuple[list[int], list[Counter]] | None = None,
 ) -> SelectedVocabulary:
     """Keep the ceil(ratio * |vocab|) words with the highest chi2 score.
 
     The multiclass score of a word is the max over the three one-vs-rest
-    2x2 tables. Ties keep earlier vocabulary order, so selection is
-    deterministic for a fixed corpus.
+    2x2 tables (a category absent from ``corpus`` scores 0). Ties keep
+    earlier vocabulary order, so selection is deterministic for a fixed
+    corpus. ``doc_freq`` is ``document_frequencies(corpus)`` when the
+    caller has it.
     """
     if not corpus:
         raise EmptyCorpus("cannot select features from an empty corpus")
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    categories = sorted({crash.category for crash in corpus}, key=lambda c: c.value)
-    # One pass over each crash's token set: doc_freq[k][word] counts the
-    # crashes of categories[k] holding word, totals[k] the crashes of it.
-    by_category = {cat: Counter() for cat in categories}
-    for crash in corpus:
-        by_category[crash.category].update(crash.report.tokens)
-    doc_freq = [by_category[cat] for cat in categories]
-    totals = [sum(1 for crash in corpus if crash.category == cat) for cat in categories]
+    totals, freqs = doc_freq or document_frequencies(corpus)
     n = len(corpus)
     # Equal count tuples give equal scores, and many words share one: score each tuple once.
-    counts = list(zip(*(map(freq.get, vocab.words, repeat(0)) for freq in doc_freq)))
+    counts = list(zip(*(map(freq.get, vocab.words, repeat(0)) for freq in freqs)))
     score_of = {}
     for in_cat in set(counts):
         present = sum(in_cat)

@@ -5,20 +5,26 @@ B (outside the trace but in the code), C (outside the code). Training uses
 additive smoothing on both priors and conditionals; prediction runs fully
 in log space and breaks ties in favor of A, then B, then C.
 
-``train`` counts the set bits of dense vectors and ``train_bits`` takes
-their positions; both build the same model. ``predict`` defines the
-category. ``certified_argmax`` finds it in time proportional to the set
-bits, or returns None on a near tie, where only ``predict`` can tell; its
-rounding-error bounds are explained at ``NBModel.argmax_tables``.
+``train_counts`` builds the model from per-class crash counts and
+per-class counts of each set bit: ``train`` counts them from dense
+vectors, ``evaluation.fit`` reads them from its document-frequency table.
+A class column holds few distinct counts, and so few distinct
+probabilities: each conditional is taken once per distinct count, and
+each logarithm of the log tables once per distinct probability, with the
+expression of the per-feature formula, so every float is the same.
+
+``predict`` defines the category. ``certified_argmax`` finds it in time
+proportional to the set bits, or returns None on a near tie, where only
+``predict`` can tell; its rounding-error bounds are explained at
+``NBModel.argmax_tables``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import sub
-from typing import Iterable, Sequence
+from itertools import chain, compress
+from typing import Sequence
 
 from .corpus import CATEGORIES, Category
 from .errors import NUMBER, DimensionMismatch, EmptyCorpus, expect, expect_between, expect_items
@@ -51,8 +57,10 @@ class NBModel:
         return self.priors[CATEGORIES.index(category)]
 
     def __post_init__(self):
-        # predict takes log(p) and log(1 - p) of every probability.
-        for p in (*self.priors, *(p for row in self.cond for p in row)):
+        # predict takes log(p) and log(1 - p) of every probability. Equal values
+        # pass or fail alike, so each distinct one is checked, in first-occurrence
+        # order: the first bad value named is the first bad one in the model.
+        for p in dict.fromkeys(chain(self.priors, chain.from_iterable(self.cond))):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"NB probability {p!r} is outside (0, 1) under smoothing "
                                  f"{self.smoothing!r}: a smoothing too small rounds it to 0 "
@@ -60,15 +68,23 @@ class NBModel:
                                  "rounds it to 0")
 
     @cached_property
+    def _logs(self) -> tuple[dict, dict]:
+        """``({p: log p}, {p: log(1 - p)})`` over the distinct conditionals:
+        a class column holds few distinct values, so each logarithm is taken
+        once per value."""
+        distinct = set(chain.from_iterable(self.cond))
+        return ({p: math.log(p) for p in distinct},
+                {p: math.log(1.0 - p) for p in distinct})
+
+    @cached_property
     def log_tables(self) -> tuple:
         """``(log priors, log(1 - cond) rows, log(cond) rows)``, taken on the
         first ``predict``."""
+        log_present, log_absent = self._logs
         return (
             tuple(math.log(p) for p in self.priors),
-            tuple((math.log(1.0 - row[0]), math.log(1.0 - row[1]), math.log(1.0 - row[2]))
-                  for row in self.cond),
-            tuple((math.log(row[0]), math.log(row[1]), math.log(row[2]))
-                  for row in self.cond),
+            tuple((log_absent[p0], log_absent[p1], log_absent[p2]) for p0, p1, p2 in self.cond),
+            tuple((log_present[p0], log_present[p1], log_present[p2]) for p0, p1, p2 in self.cond),
         )
 
     @cached_property
@@ -86,16 +102,21 @@ class NBModel:
         certified score (base, one rounding per delta, an fsum over the set
         bits) by at most 2 gamma_N M_c. ``bounds[c]`` is 4 gamma_N M_c: the
         fourth share covers the roundings of the bound and of the comparison.
+
+        Each logarithm and each difference is taken once per distinct
+        conditional; the fsums run over every term.
         """
         columns = tuple(zip(*self.cond)) or ((), (), ())  # also for no features
+        log_present, log_absent = self._logs
+        log_delta = {p: lp - log_absent[p] for p, lp in log_present.items()}
         log_priors = tuple(map(math.log, self.priors))
-        absent = [tuple(map(math.log, map((1.0).__sub__, col))) for col in columns]
-        present = [tuple(map(math.log, col)) for col in columns]
+        absent = [tuple(map(log_absent.__getitem__, col)) for col in columns]
+        present = [tuple(map(log_present.__getitem__, col)) for col in columns]
         n = self.n_features + 1
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
         return (
             tuple(math.fsum((lp, *acol)) for lp, acol in zip(log_priors, absent)),
-            tuple(tuple(map(sub, pcol, acol)) for pcol, acol in zip(present, absent)),
+            tuple(tuple(map(log_delta.__getitem__, col)) for col in columns),
             # Every logarithm here is <= 0, so M_c is minus their sum.
             tuple(-4.0 * gamma * math.fsum((lp, *acol, *pcol))
                   for lp, acol, pcol in zip(log_priors, absent, present)),
@@ -138,11 +159,8 @@ def train(
     smoothing: float = 1.0,
     selected_vocab: SelectedVocabulary | None = None,
 ) -> NBModel:
-    """Fit priors and per-feature conditionals with additive smoothing.
-
-    prior(c) = (count(c) + s) / (N + 3s)
-    cond(i, c) = (count(bit i = 1 and c) + s) / (count(c) + 2s)
-    """
+    """Fit priors and per-feature conditionals with additive smoothing, as
+    ``train_counts`` defines them, from the set bits of dense vectors."""
     if not corpus:
         raise EmptyCorpus("cannot train on an empty corpus")
     if smoothing <= 0:
@@ -157,33 +175,40 @@ def train(
         raise DimensionMismatch(
             f"vectors have {n_features} features but vocabulary selects {len(selected_vocab)}"
         )
-    rows = [(compress(range(n_features), vec), category) for vec, category in corpus]
-    return train_bits(rows, n_features, smoothing, selected_vocab)
-
-
-def train_bits(
-    rows: Sequence[tuple[Iterable[int], Category]],
-    n_features: int,
-    smoothing: float,
-    selected_vocab: SelectedVocabulary | None = None,
-) -> NBModel:
-    """``train`` on each crash's distinct set-bit positions (each below
-    ``n_features``) instead of its vector. ``rows`` is non-empty and
-    ``smoothing`` positive, as ``train`` checks."""
-    n = len(rows)
     counts = [0, 0, 0]
     ones = [[0] * n_features for _ in CATEGORIES]
-    for bits, category in rows:
+    for vec, category in corpus:
         k = CATEGORIES.index(category)
         counts[k] += 1
         row = ones[k]
-        for i in bits:
+        for i in compress(range(n_features), vec):
             row[i] += 1
+    return train_counts(counts, ones, smoothing, selected_vocab)
 
-    priors = tuple((counts[k] + smoothing) / (n + 3 * smoothing) for k in range(3))
-    columns = [[(c + smoothing) / (counts[k] + 2 * smoothing) for c in ones[k]] for k in range(3)]
-    cond = tuple(zip(*columns))
-    return NBModel(priors=priors, cond=cond, smoothing=smoothing,
+
+def train_counts(
+    counts: Sequence[int],
+    ones: Sequence[Sequence[int]],
+    smoothing: float,
+    selected_vocab: SelectedVocabulary | None = None,
+) -> NBModel:
+    """The model of ``counts[k]`` crashes of class k, ``ones[k][i]`` of which
+    set bit i, classes in A, B, C order. ``smoothing`` is positive, as
+    ``train`` checks.
+
+    prior(c) = (count(c) + s) / (N + 3s)
+    cond(i, c) = (count(bit i = 1 and c) + s) / (count(c) + 2s)
+
+    A class column holds few distinct counts, so each conditional is taken
+    once per distinct count of its class.
+    """
+    n = sum(counts)
+    priors = tuple((count + smoothing) / (n + 3 * smoothing) for count in counts)
+    columns = []
+    for count, column in zip(counts, ones):
+        cond_of = {c: (c + smoothing) / (count + 2 * smoothing) for c in set(column)}
+        columns.append(map(cond_of.__getitem__, column))
+    return NBModel(priors=priors, cond=tuple(zip(*columns)), smoothing=smoothing,
                    selected_vocab=selected_vocab)
 
 

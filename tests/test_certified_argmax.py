@@ -6,12 +6,20 @@ so that ``categorize`` falls back to ``predict`` on the dense vector.
 Fallbacks are counted by wrapping ``crashloc.localizer.predict``. Near ties
 come from duplicated class columns, equal priors and conditionals a few
 ulps apart, whose margins lie inside the bound.
+
+``reference_log_tables`` and ``reference_argmax_tables`` are the tables'
+former code, kept verbatim: it takes every logarithm of every feature,
+where ``NBModel`` takes each once per distinct probability. Both must give
+equal tables (``==`` on floats) on models whose columns repeat a few
+values, as ``fit`` gives them, on all-distinct columns, as a loaded bundle
+can carry, with no features, and on models ``fit`` built on random corpora.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from contextlib import contextmanager
+from operator import sub
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -19,14 +27,17 @@ from hypothesis import event, given, settings, strategies as st
 import crashloc.localizer
 from crashloc.cli import _bundle_from_obj, main
 from crashloc.config import Config
+from crashloc.corpus import LabeledCrash
 from crashloc.errors import CrashLocError, DimensionMismatch, parse_json, read_text
-from crashloc.evaluation import evaluate
+from crashloc.evaluation import evaluate, fit
 from crashloc.features import SelectedVocabulary, Vocabulary, set_bits, vectorize
 from crashloc.localizer import Pipeline
-from crashloc.nb import Category, NBModel, certified_argmax, predict
+from crashloc.nb import CATEGORIES, Category, NBModel, certified_argmax, predict
 from crashloc.trace import parse_and_split
 
 from conftest import CORPUS_PATH, make_report
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @contextmanager
@@ -180,3 +191,105 @@ def test_bundle_loaded_as_locate_loads_it_certifies_predicts_category(corpus, cr
         certified += fast is not None
         assert pipeline.categorize(report) is want
     assert certified >= len(reports) - 3
+
+
+def reference_log_tables(self) -> tuple:
+    """``(log priors, log(1 - cond) rows, log(cond) rows)``, taken on the
+    first ``predict``."""
+    return (
+        tuple(math.log(p) for p in self.priors),
+        tuple((math.log(1.0 - row[0]), math.log(1.0 - row[1]), math.log(1.0 - row[2]))
+              for row in self.cond),
+        tuple((math.log(row[0]), math.log(row[1]), math.log(row[2]))
+              for row in self.cond),
+    )
+
+
+def reference_argmax_tables(self) -> tuple:
+    """``(base, delta columns, bounds)`` per class for ``certified_argmax``,
+    taken on its first call. Its logarithms are those of ``log_tables``;
+    the bounds follow Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 4, with gamma_N = N u / (1 - N u).
+
+    ``base[c]`` is log prior(c) + sum_i log(1 - cond(i, c)), correctly
+    rounded by ``math.fsum``, and ``delta[c][i]`` is log cond(i, c) -
+    log(1 - cond(i, c)). With F features, N = F + 1 and M_c = |log prior(c)|
+    + sum_i (|log cond(i, c)| + |log(1 - cond(i, c))|), ``predict``'s
+    sequential sum of F + 1 terms errs by at most gamma_N M_c, and the
+    certified score (base, one rounding per delta, an fsum over the set
+    bits) by at most 2 gamma_N M_c. ``bounds[c]`` is 4 gamma_N M_c: the
+    fourth share covers the roundings of the bound and of the comparison.
+    """
+    columns = tuple(zip(*self.cond)) or ((), (), ())  # also for no features
+    log_priors = tuple(map(math.log, self.priors))
+    absent = [tuple(map(math.log, map((1.0).__sub__, col))) for col in columns]
+    present = [tuple(map(math.log, col)) for col in columns]
+    n = self.n_features + 1
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return (
+        tuple(math.fsum((lp, *acol)) for lp, acol in zip(log_priors, absent)),
+        tuple(tuple(map(sub, pcol, acol)) for pcol, acol in zip(present, absent)),
+        # Every logarithm here is <= 0, so M_c is minus their sum.
+        tuple(-4.0 * gamma * math.fsum((lp, *acol, *pcol))
+              for lp, acol, pcol in zip(log_priors, absent, present)),
+    )
+
+
+@st.composite
+def repeating_columns(draw, n):
+    """A column of ``n`` conditionals drawn from a pool of one to four values."""
+    pool = draw(st.lists(probabilities, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def table_models(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    distinct = st.lists(probabilities, min_size=n, max_size=n, unique=True)
+    columns = [draw(repeating_columns(n) | distinct) for _ in CATEGORIES]
+    priors = draw(st.lists(st.floats(min_value=0.01, max_value=0.98), min_size=3, max_size=3))
+    return _model(priors, columns)
+
+
+TABLE_WORDS = ("alpha", "beta", "gamma", "delta", "Main", "View")
+
+
+@st.composite
+def fitted_models(draw):
+    """``fit``'s model on a random corpus, so that its columns repeat as in evaluate."""
+    messages = st.lists(st.sampled_from(TABLE_WORDS), max_size=5).map(" ".join)
+    labeled = st.tuples(messages, st.sampled_from(CATEGORIES)).map(
+        lambda pair: LabeledCrash(report=make_report(message=pair[0]), category=pair[1],
+                                  true_location="x#y"))
+    corpus = draw(st.lists(labeled, min_size=1, max_size=12))
+    ratio = draw(st.sampled_from((1.0, 0.5, 1e-9)))
+    smoothing = draw(st.sampled_from((1.0, 0.5, 1e-3)))
+    return fit(corpus, Config(chi2_ratio=ratio, nb_smoothing=smoothing)).nb
+
+
+def _assert_tables_match_reference(model: NBModel) -> None:
+    model = dataclasses.replace(model)  # a copy whose tables have not been taken
+    want = reference_argmax_tables(model)
+    base, delta, bounds = model.argmax_tables
+    assert base == want[0]
+    assert delta == want[1]
+    assert bounds == want[2]
+    assert model.log_tables == reference_log_tables(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=table_models() | near_tie_models())
+def test_tables_equal_the_reference_tables(model):
+    event(f"features: {'none' if model.n_features == 0 else 'some'}")
+    _assert_tables_match_reference(model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=fitted_models())
+def test_tables_of_fitted_models_equal_the_reference_tables(model):
+    _assert_tables_match_reference(model)
+
+
+def test_tables_of_the_fixture_folds_equal_the_reference_tables(corpus):
+    for train_part in (corpus[: len(corpus) // 2], corpus[len(corpus) // 2:], corpus):
+        _assert_tables_match_reference(fit(train_part, Config()).nb)

@@ -9,8 +9,9 @@ per feature on each call. On random corpora the counting chi-square, the
 sparse ``vectorize`` and ``train`` and the log-table ``predict`` must return
 the same tokens, scores, selected words, vectors, models and posteriors
 (``==`` on floats, never approx). ``CrashReport.tokens`` must hold the
-reference tokens once each, and ``evaluation.fit``, which counts set bits,
-must build the model of the dense chain.
+reference tokens once each, and ``evaluation.fit``, which reads its NB
+counts from a document-frequency table, must build the model of the dense
+chain, and reject with the same message a model the dense chain rejects.
 """
 from __future__ import annotations
 
@@ -352,3 +353,19 @@ def test_model_whose_probabilities_reach_zero_or_one_is_rejected():
     for fit_nb in (train, reference_train):
         with pytest.raises(ValueError, match=r"outside \(0, 1\) under smoothing 5e-324"):
             fit_nb(pairs, 5e-324)
+
+
+@pytest.mark.parametrize("smoothing", [5e-324, 1e-15])
+def test_fit_rejects_the_model_the_dense_chain_rejects(smoothing):
+    # "java" and "alpha" are in every crash, and each class has 40 crashes:
+    # at 1e-15 a word held by a whole class rounds its conditional to 1.0,
+    # at 5e-324 a word held by none of a class also rounds its one to 0.0.
+    corpus = [_crash("java.lang.alpha", WORDS[j % 5], (), CATEGORIES[j % 3]) for j in range(120)]
+    vocab = build_vocabulary(corpus)
+    sel = reference_chi_square_select(vocab, corpus, 0.5)
+    pairs = [(vectorize(crash.report, sel), crash.category) for crash in corpus]
+    with pytest.raises(ValueError, match=r"outside \(0, 1\)") as dense:
+        train(pairs, smoothing, sel)
+    with pytest.raises(ValueError) as fitted:
+        fit(corpus, Config(chi2_ratio=0.5, nb_smoothing=smoothing))
+    assert str(fitted.value) == str(dense.value)
