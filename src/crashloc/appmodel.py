@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text,
 )
+from .records import builder
 
 API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
@@ -96,6 +97,24 @@ class ClassDef:
     superclasses: tuple[str, ...]
     active_methods: tuple[MethodRef, ...]
     non_overridden_callbacks: tuple[MethodRef, ...]
+
+
+_method_ref = builder(MethodRef)
+_api_ref = builder(ApiRef)
+_class_def = builder(ClassDef)
+
+
+def well_formed_api(obj) -> ApiRef | None:
+    """The ApiRef of an API object whose names are texts and whose kind is
+    known, built without ``ApiRef``'s check; None for any other value, which
+    ``ApiRef.from_json_obj`` then reports."""
+    if type(obj) is dict:
+        class_name, method_name = obj.get("class_name"), obj.get("method_name")
+        kind = obj.get("kind")
+        if (type(class_name) is str and type(method_name) is str and type(kind) is str
+                and kind in API_KINDS):
+            return _api_ref(class_name, method_name, kind)
+    return None
 
 
 @dataclass(frozen=True)
@@ -208,7 +227,7 @@ def parse_method_ref(text: str, is_developer: bool = True, pointer: str = "") ->
     else:
         sig_text = sig_text.strip()
         signature = (sig_text,) if sig_text else ()
-    return MethodRef(cls, method, signature, is_developer)
+    return _method_ref(cls, method, signature, is_developer)
 
 
 def load_app_model(path: str | Path) -> AppModel:
@@ -305,21 +324,13 @@ def app_model_from_json(obj: dict) -> AppModel:
                                   f"{sorted(overlap, key=str)}", f"/classes/{ci}")
         if len(ncs) > 1:
             ncs.sort(key=lambda nc: chain_pos[nc.class_name])
-        classes[name] = ClassDef(name, supers, tuple(active), tuple(ncs))
+        classes[name] = _class_def(name, supers, tuple(active), tuple(ncs))
 
     aentries = top.get("apis")
     if type(aentries) is not list:
         aentries = expect(obj, "apis", list, "")
-    apis = []
-    for ai, a in enumerate(aentries):
-        if type(a) is dict:
-            class_name, method_name, kind = a.get("class_name"), a.get("method_name"), a.get("kind")
-            if (type(class_name) is str and type(method_name) is str and type(kind) is str
-                    and kind in API_KINDS):
-                apis.append(ApiRef(class_name, method_name, kind))
-                continue
-        apis.append(ApiRef.from_json_obj(a, f"/apis/{ai}"))
-    apis = tuple(apis)
+    apis = tuple(well_formed_api(a) or ApiRef.from_json_obj(a, f"/apis/{ai}")
+                 for ai, a in enumerate(aentries))
     api_names = {(a.class_name, a.method_name) for a in apis}
 
     def resolve(text: str, what: str, *keys) -> MethodRef:
@@ -334,7 +345,7 @@ def app_model_from_json(obj: dict) -> AppModel:
             if ref.canonical() not in declared:
                 if (ref.class_name, ref.method_name) not in api_names:
                     raise _undeclared(ref, what, _pointer(keys))
-                ref = MethodRef(ref.class_name, ref.method_name, ref.signature, False)
+                ref = _method_ref(ref.class_name, ref.method_name, ref.signature, False)
             resolved[text] = ref
         if not ref.is_developer and what != "callee":
             raise _undeclared(ref, what, _pointer(keys))

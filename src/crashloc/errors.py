@@ -79,10 +79,11 @@ def parse_json(text: str, what: str, pointer: str = "/"):
 
 def read_text(path: str | Path, what: str) -> str:
     """The text of the UTF-8 file at ``path``, read in text mode so that
-    ``"\\r\\n"`` and ``"\\r"`` read as ``"\\n"``; SchemaError naming ``what``
-    and the file if it cannot be read or decoded."""
+    ``"\\r\\n"`` and ``"\\r"`` read as ``"\\n"``, less one leading byte order
+    mark (U+FEFF), as some editors save one; SchemaError naming ``what`` and
+    the file if it cannot be read or decoded."""
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             return file.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc

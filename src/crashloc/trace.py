@@ -25,15 +25,23 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_FRAMEWORK_PREFIXES, checked_prefixes
 from .errors import MalformedLog, MissingException, NoDeveloperFrame
+from .records import builder
 
 _HEADER_RE = re.compile(
     r"^(?P<type>[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)+)(?::\s?(?P<msg>.*))?$"
 )
+# The patterns below search the whole log, not one line: ``[^\S\n]`` is the
+# whitespace that stays inside a line, and ``re.M`` makes ``^`` and ``$``
+# match at each line feed.
+_NONBLANK_RE = re.compile(r"\S")
+# A line that opens a ``Caused by:`` section, from the line feed before it:
+# a literal first character lets the search skip to each line feed.
+_CAUSED_BY_RE = re.compile(r"\n[^\S\n]*Caused by:")
 _FRAME_RE = re.compile(
-    r"^\s*at\s+(?P<cls>[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)+)"
-    r"\.(?P<method>[\w$<>]+)\((?P<loc>.*)\)\s*$"
+    r"^[^\S\n]*at[^\S\n]+(?P<cls>[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)+)"
+    r"\.(?P<method>[\w$<>]+)\((?P<loc>.*)\)[^\S\n]*$",
+    re.M,
 )
-_CAUSED_BY_RE = re.compile(r"^\s*Caused by:")
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,6 +134,10 @@ class CrashReport:
         return self.framework_subtrace[-1] if self.framework_subtrace else None
 
 
+_stack_frame = builder(StackFrame)
+_crash_report = builder(CrashReport)
+
+
 def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
     """Parse raw crash text into a CrashReport, labeling frames via the matcher.
 
@@ -137,29 +149,30 @@ def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
     return, and nowhere else: ``str.splitlines`` would also cut a message at
     U+2028, U+2029, U+0085 and the ASCII vertical tab, form feed and
     separator controls.
-    """
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    for start, first in enumerate(lines):
-        if first.strip():
-            break
-    else:
-        raise MissingException("empty crash log")
 
+    The text is not split into lines: one search finds the header line, one
+    the ``Caused by:`` cut, and one scan takes every frame line above it,
+    labeling each frame and collecting the framework sub-trace as it goes.
+    """
+    nonblank = _NONBLANK_RE.search(text)
+    if nonblank is None:
+        raise MissingException("empty crash log")
+    start = text.rfind("\n", 0, nonblank.start()) + 1
+    end = text.find("\n", nonblank.start())
+    if end < 0:
+        end = len(text)
+    first = text[start:end]
     header = _HEADER_RE.match(first.strip())
     if header is None:
+        first = first[:-1] if first.endswith("\r") else first
         raise MissingException(f"no dotted exception type on first line: {first!r}")
 
+    cut = _CAUSED_BY_RE.search(text, end)
+    prefixes = matcher.prefixes
     frames: list[StackFrame] = []
     developer: list[StackFrame] = []
-    for raw in lines[start + 1:]:
-        if "Caused by:" in raw and _CAUSED_BY_RE.match(raw):
-            break
-        m = _FRAME_RE.match(raw)
-        if m is None:
-            continue
-        cls, method, file = m.group("cls", "method", "loc")
+    key: list[str] = []  # qualified names of the frames above the first developer frame
+    for cls, method, file in _FRAME_RE.findall(text, end + 1, cut.start() if cut else len(text)):
         # "<file>:<line>" when the text after the last colon is all decimal
         # digits (Unicode Nd, as the regex ``\d``) and the file is not empty.
         name, _, digits = file.rpartition(":")
@@ -171,18 +184,19 @@ def parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
                                    f"{len(digits)} digits, too long to read") from None
         else:
             file, line = file or None, None
-        frame = StackFrame(cls, method, file, line, len(frames))
+        frame = _stack_frame(cls, method, file, line, len(frames))
         frames.append(frame)
-        if not matcher.is_framework(cls):
+        if not cls.startswith(prefixes):
             developer.append(frame)
+        elif not developer:
+            key.append(f"{cls}.{method}")
     if not frames:
         raise MalformedLog("no 'at <class>.<method>(...)' line found")
-    return CrashReport(
-        exception_type=header.group("type"),
-        message=header.group("msg") or "",
-        frames=tuple(frames),
-        developer_frames=tuple(developer),
-    )
+    if not developer:
+        raise NoDeveloperFrame(f"all {len(frames)} frames match framework prefixes")
+    exception_type, message = header.group("type", "msg")
+    return _crash_report(exception_type, message or "", tuple(frames), tuple(developer),
+                         tuple(frames[:len(key)]), tuple(key), None)
 
 
 def to_log_text(report: CrashReport) -> str:

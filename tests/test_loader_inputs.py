@@ -22,7 +22,7 @@ from crashloc.appmodel import app_model_from_json
 from crashloc.cli import _bundle_from_obj, _bundle_to_obj
 from crashloc.config import Config, config_from_json_obj
 from crashloc.corpus import labeled_crash_from_json, load_corpus
-from crashloc.errors import ArtifactError
+from crashloc.errors import ArtifactError, SchemaError, read_text
 from crashloc.evaluation import fit
 from crashloc.trace import FrameworkMatcher
 
@@ -253,3 +253,53 @@ def test_line_number_too_long_for_int_exits_2_naming_the_input(tmp_path, capsys,
     what = case.replace("-", " ")
     assert (error["error"], error["message"], error.get("pointer")) == (
         kind, f"{message} in {what} {str(path)!r}", pointer)
+
+
+# case -> (file text, command line with {path} for the file)
+WITH_BOM = {
+    "crash-log": ((CRASH_DIR / "b_geography_service.log").read_text(encoding="utf-8"),
+                  ["locate", "{path}", "--model", "{bundle}", "--corpus", str(CORPUS_PATH),
+                   "--app-model", str(APP_MODELS / "geography.json")]),
+    "corpus": (CORPUS_PATH.read_text(encoding="utf-8"), ["evaluate", "--corpus", "{path}"]),
+    "app-model": ((APP_MODELS / "geography.json").read_text(encoding="utf-8"),
+                  _locate_args(app_model="{path}")),
+    "model-bundle": (json.dumps(BUNDLE_OBJ), _locate_args(bundle="{path}")),
+    "config": (json.dumps(CONFIG_OBJ), ["evaluate", "--corpus", str(CORPUS_PATH)]),
+}
+
+
+@pytest.mark.parametrize("case", WITH_BOM)
+def test_leading_byte_order_mark_is_ignored(tmp_path, monkeypatch, capsys, case):
+    """A file saved with a UTF-8 byte order mark in front (and, for the crash
+    log, "\\r\\n" line endings) gives the output of the same file without it."""
+    text, args = WITH_BOM[case]
+    # The corpus names its app models as "../app_models/<name>.json".
+    (tmp_path / "app_models").mkdir()
+    for model in APP_MODELS.glob("*.json"):
+        (tmp_path / "app_models" / model.name).write_bytes(model.read_bytes())
+    (tmp_path / "in").mkdir()
+    plain, marked = tmp_path / "in" / "plain.txt", tmp_path / "in" / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    if case == "crash-log":
+        text = text.replace("\n", "\r\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(BUNDLE_OBJ), encoding="utf-8")
+    outputs = []
+    for path in (plain, marked):
+        if case == "config":
+            monkeypatch.setenv("CRASHLOC_CONFIG", str(path))
+        assert cli.main([arg.format(path=path, bundle=bundle) for arg in args]) == 0, \
+            capsys.readouterr().err
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
+
+
+def test_undecodable_file_error_text_is_unchanged(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"ab\xffcd")
+    with pytest.raises(SchemaError) as raised:
+        read_text(path, "corpus")
+    assert str(raised.value) == (f"cannot read corpus: {str(path)!r} is not UTF-8: 'utf-8' codec "
+                                 "can't decode byte 0xff in position 2: invalid start byte")

@@ -1,4 +1,4 @@
-"""Parsing and splitting in one step agrees with the two-step parser it replaced.
+"""Parsing and splitting in one scan agrees with the parsers it replaced.
 
 ``reference_parse_crash_log`` and ``reference_split_frames`` are the
 former parser and splitter kept verbatim, except that they return the
@@ -8,16 +8,23 @@ with and without a message, leading blank lines, junk lines, ``Caused
 by:`` sections, every location form, and traces that are all framework
 or hold no frame at all) ``parse_and_split`` must give the same seven
 fields, or fail with the same error type.
+
+``line_split_parse_and_split`` is the one-step parser that split the text
+into lines and matched each, kept verbatim. On text with every line
+ending, the separators that ``str.splitlines`` would break at, ``Caused
+by:`` at every place and line numbers too long for ``int``, the one-scan
+``parse_and_split`` must build an equal report, derived fields included,
+or raise the same error type and message.
 """
 from __future__ import annotations
 
 import re
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crashloc.errors import CrashLocError, MalformedLog, MissingException, NoDeveloperFrame
-from crashloc.trace import FrameworkMatcher, StackFrame, parse_and_split
+from crashloc.trace import CrashReport, FrameworkMatcher, StackFrame, parse_and_split
 
 from conftest import CRASH_DIR
 
@@ -227,3 +234,177 @@ def test_fixture_logs_match_reference(matcher):
     assert len(logs) == 20
     for path in logs:
         assert_matches_reference(path.read_text(encoding="utf-8"), matcher)
+
+
+# ---------------------------------------------------------------------------
+# The line-split parser
+# ---------------------------------------------------------------------------
+
+def line_split_parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashReport:
+    """Parse raw crash text into a CrashReport, labeling frames via the matcher.
+
+    Raises MissingException if the first non-blank line carries no dotted
+    exception type, MalformedLog if no frame line parses or a frame's line
+    number is too long for ``int``, and NoDeveloperFrame when every frame
+    matches a framework prefix. Lines after the first ``Caused by:`` are
+    discarded. A line ends at a line feed, less one trailing carriage
+    return, and nowhere else: ``str.splitlines`` would also cut a message at
+    U+2028, U+2029, U+0085 and the ASCII vertical tab, form feed and
+    separator controls.
+    """
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    for start, first in enumerate(lines):
+        if first.strip():
+            break
+    else:
+        raise MissingException("empty crash log")
+
+    header = _HEADER_RE.match(first.strip())
+    if header is None:
+        raise MissingException(f"no dotted exception type on first line: {first!r}")
+
+    frames: list[StackFrame] = []
+    developer: list[StackFrame] = []
+    for raw in lines[start + 1:]:
+        if "Caused by:" in raw and _CAUSED_BY_RE.match(raw):
+            break
+        m = _FRAME_RE.match(raw)
+        if m is None:
+            continue
+        cls, method, file = m.group("cls", "method", "loc")
+        # "<file>:<line>" when the text after the last colon is all decimal
+        # digits (Unicode Nd, as the regex ``\d``) and the file is not empty.
+        name, _, digits = file.rpartition(":")
+        if name and digits.isdecimal():
+            try:
+                file, line = name, int(digits)
+            except ValueError:
+                raise MalformedLog(f"frame {len(frames)} has a line number of "
+                                   f"{len(digits)} digits, too long to read") from None
+        else:
+            file, line = file or None, None
+        frame = StackFrame(cls, method, file, line, len(frames))
+        frames.append(frame)
+        if not matcher.is_framework(cls):
+            developer.append(frame)
+    if not frames:
+        raise MalformedLog("no 'at <class>.<method>(...)' line found")
+    return CrashReport(
+        exception_type=header.group("type"),
+        message=header.group("msg") or "",
+        frames=tuple(frames),
+        developer_frames=tuple(developer),
+    )
+
+
+def assert_same_report(actual: CrashReport, expected: CrashReport) -> None:
+    """Equal reports, and equal in the fields that ``==`` skips."""
+    assert type(actual) is CrashReport
+    assert actual == expected
+    assert repr(actual) == repr(expected)
+    assert actual.framework_subtrace == expected.framework_subtrace
+    assert actual.subtrace_key == expected.subtrace_key
+    assert actual.tokens == expected.tokens
+    assert [type(f.line) for f in actual.frames] == [type(f.line) for f in expected.frames]
+
+
+def assert_parses_like_line_split(text: str, matcher: FrameworkMatcher) -> None:
+    try:
+        expected = line_split_parse_and_split(text, matcher)
+    except CrashLocError as exc:
+        with pytest.raises(CrashLocError) as raised:
+            parse_and_split(text, matcher)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    assert_same_report(parse_and_split(text, matcher), expected)
+
+
+# Whitespace that stays inside a line: str.strip and the regex \s take each
+# of these, str.splitlines would break at all but the tab and the space.
+_INLINE_SPACE = ("\t", " ", "\x0b", "\x1c", "\u0085", "\u2028", "\r")
+_indent = st.lists(st.sampled_from(_INLINE_SPACE), max_size=3).map("".join)
+_MESSAGES = (
+    "", ": boom", ":boom", ": ", ": boom\u2028tail", ": a\x0bb", ": x\x1cy", ": m\u0085n",
+    ": not attached: to Activity",
+    ": Caused by: java.lang.NullPointerException",
+    ": \tat com.app.one.Main.run(Main.java:1)",
+)
+_TYPES = ("java.lang.IllegalStateException", "android.os.DeadObjectException")
+_LONG_LINE = "F.java:" + "1" * 4400  # more digits than int() takes by default
+_any_frame_line = st.builds(
+    lambda indent, gap, cls, method, loc, end: f"{indent}at{gap}{cls}.{method}({loc}){end}",
+    _indent,
+    st.sampled_from(_INLINE_SPACE),
+    st.sampled_from(_CLASSES),
+    st.sampled_from(_METHODS),
+    st.sampled_from(_LOCATIONS + (_LONG_LINE,)),
+    _indent,
+)
+_MORE_JUNK = _JUNK_LINES + (
+    "\x0b", "\u2028", "\r", "\u0085  ", "\tat com.app.one.Main.run(Main.java:1) trailing",
+    "\tat com.app.one.Main.run(Main.java:1)\u2028\tat org.demo.two.Worker.handle(W.kt:2)",
+    "\tat com..Main.run(M.java:1)", "\tat 1com.app.Main.run(M.java:1)",
+    # An "at" line and a frame without "at": a match must not join them.
+    "\tat", "at", "com.app.one.Main.run(Main.java:1)", "\tat\r\n com.app.one.Main.run(M.java:1)",
+)
+_caused_by_line = st.builds(
+    lambda indent, rest: f"{indent}Caused by:{rest}",
+    _indent,
+    st.sampled_from(("", " java.lang.NullPointerException", "x")),
+)
+
+
+@st.composite
+def wide_crash_texts(draw):
+    """Crash text whose lines end at "\n", "\r\n" or "\r\r\n", and whose last
+    line may end at a lone "\r" or at nothing."""
+    leading = draw(st.lists(_indent, max_size=2))
+    # One header in four has no dotted type.
+    header = draw(_indent) + draw(st.sampled_from(_TYPES * 3 + ("Exception", "FATAL EXCEPTION")))
+    header += draw(st.sampled_from(_MESSAGES)) + draw(_indent)
+    body = []
+    # "f" a frame line, "j" junk, "c" a Caused by: line.
+    for kind in draw(st.lists(st.sampled_from("ffffffffjjc"), max_size=12)):
+        if kind == "f":
+            body.append(draw(_any_frame_line))
+        elif kind == "j":
+            body.append(draw(st.sampled_from(_MORE_JUNK)))
+        else:
+            body.append(draw(_caused_by_line))
+    lines = leading + [header] + body
+    endings = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r\r\n")),
+                            min_size=len(lines), max_size=len(lines)))
+    endings[-1] = draw(st.sampled_from(("\n", "\r\n", "\r\r\n", "\r", "")))
+    return "".join(line + ending for line, ending in zip(lines, endings))
+
+
+_FIRST_LINE_CAUSED_BY = ("java.lang.IllegalStateException: boom\r\n  Caused by: x\r\n"
+                         "\tat com.app.one.Main.run(Main.java:42)\r\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_crash_texts(), st.sampled_from(MATCHERS))
+@example(_FIRST_LINE_CAUSED_BY, MATCHERS[0])
+@example("java.lang.IllegalStateException: boom\n\tat com.app.one.Main.run(Main.java:42)\r",
+         MATCHERS[0])
+@example("\r\n\x0b\u2028\n  java.lang.X: boom\r\r\n\x1cat com.app.one.Main.<init>(M.java)\r",
+         MATCHERS[0])
+@example("Exception: boom\r\r\n\tat com.app.one.Main.run(Main.java:42)\n", MATCHERS[0])
+@example("java.lang.X\n\tat com.app.one.Main.run(" + _LONG_LINE + ")\n", MATCHERS[0])
+@example("java.lang.X: boom\n\tat\ncom.app.one.Main.run(M.java:1)\n\tat org.demo.two.Worker.run()",
+         MATCHERS[0])
+@example("", MATCHERS[0])
+@example(" \r\n\u2028\r", MATCHERS[0])
+@example("java.lang.X", MATCHERS[0])
+def test_one_scan_matches_line_split(text, matcher):
+    assert_parses_like_line_split(text, matcher)
+
+
+def test_fixture_logs_match_line_split(matcher):
+    for path in sorted(CRASH_DIR.glob("*.log")):
+        text = path.read_text(encoding="utf-8")
+        for ending in ("\n", "\r\n", "\r\r\n"):
+            assert_parses_like_line_split(text.replace("\n", ending), matcher)
