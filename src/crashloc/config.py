@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .appmodel import DEFAULT_LINKS_DEPTH
-from .errors import NUMBER, SchemaError, fits, naming, parse_json, read_text, within
+from .errors import NUMBER, SchemaError, fits, naming, parse_json, read_text
 
 # Package prefixes treated as Android framework code when splitting traces.
 DEFAULT_FRAMEWORK_PREFIXES = (
@@ -93,8 +93,10 @@ def config_from_json_obj(obj, pointer: str = "") -> Config:
     for key in obj:
         if key not in known:
             raise SchemaError(f"unknown config key {key!r}", f"{pointer}/{key}")
-    with within(pointer):
+    try:
         return Config(**obj)
+    except SchemaError as exc:  # a ConfigError, raised again as a plain SchemaError
+        raise SchemaError(exc.message, pointer + exc.pointer) from exc
 
 
 def load_config(path: str | Path) -> Config:

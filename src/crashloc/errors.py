@@ -80,15 +80,21 @@ def parse_json(text: str, what: str, pointer: str = "/"):
 def read_text(path: str | Path, what: str) -> str:
     """The text of the UTF-8 file at ``path``, read in text mode so that
     ``"\\r\\n"`` and ``"\\r"`` read as ``"\\n"``, less one leading byte order
-    mark (U+FEFF), as some editors save one; SchemaError naming ``what`` and
-    the file if it cannot be read or decoded."""
+    mark (U+FEFF), as some editors save one; SchemaError naming ``what``, the
+    file and any bad byte's offset in it if it cannot be read or decoded."""
     try:
         with open(path, encoding="utf-8-sig") as file:
-            return file.read()
+            try:
+                return file.read()
+            except UnicodeDecodeError as exc:
+                # The decoder counts from after a mark: count from the file's start.
+                raw, mark = file.buffer, b"\xef\xbb\xbf"
+                if raw.seekable() and raw.seek(0) == 0 and raw.read(3) == mark:
+                    exc = UnicodeDecodeError(exc.encoding, mark + exc.object,
+                                             exc.start + 3, exc.end + 3, exc.reason)
+                raise SchemaError(f"cannot read {what}: {str(path)!r} is not UTF-8: {exc}") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"cannot read {what}: {str(path)!r} is not UTF-8: {exc}") from exc
 
 
 def write_text(path: str | Path, text: str, what: str) -> None:
@@ -110,15 +116,6 @@ def naming(what: str, path: str | Path):
     except CrashLocError as exc:
         exc.args = (f"{exc} in {what} {str(path)!r}",)
         raise
-
-
-@contextmanager
-def within(pointer: str):
-    """Re-raises a SchemaError from the block as one at ``pointer`` + its own pointer."""
-    try:
-        yield
-    except SchemaError as exc:
-        raise SchemaError(exc.message, pointer + exc.pointer) from exc
 
 
 # Shape checks shared by the artifact loaders. ``bool`` is a subclass of

@@ -128,10 +128,6 @@ class IndexB:
         _check_labels(index.pool, "api_h", "handled-API")
         return cls(index)
 
-    @property
-    def pool(self) -> tuple[LabeledCrash, ...]:
-        return self.index.pool
-
 
 @dataclass(frozen=True)
 class IndexC:
@@ -158,10 +154,6 @@ class IndexC:
             members.setdefault(crash.sub_category, []).append(key_id)
         return cls(index, PackedKeys.of(index.first),
                    {sub: tuple(ids) for sub, ids in members.items()})
-
-    @property
-    def pool(self) -> tuple[LabeledCrash, ...]:
-        return self.index.pool
 
 
 def infer_handled_api(report: CrashReport, training_b: Union[Pool, IndexB]) -> tuple[ApiRef, dict]:
@@ -241,7 +233,7 @@ def locate_category_c(report: CrashReport, training_c: Union[Pool, IndexC]) -> L
     from Python 3.12 it compensates float sums.
     """
     training = IndexC.of(training_c)
-    if not training.pool:
+    if not training.index.pool:
         raise EmptyPool("no Category-C training crashes to compare against")
     seq, lengths = frame_seq(report), training.packed.lengths
     key_ids = training.index.sharing(seq)

@@ -59,22 +59,19 @@ class NBModel:
     def __post_init__(self):
         # predict takes log(p) and log(1 - p) of every probability. Equal values
         # pass or fail alike, so each distinct one is checked, in first-occurrence
-        # order: the first bad value named is the first bad one in the model.
+        # order: the first bad value named is the first bad one in the model. The
+        # same pass takes each distinct value's logarithms, once, into ``_logs``:
+        # ({p: log p}, {p: log(1 - p)}), held outside the fields, so not in ``==``.
+        log_present, log_absent = {}, {}
         for p in dict.fromkeys(chain(self.priors, chain.from_iterable(self.cond))):
             if not 0.0 < p < 1.0:
                 raise ValueError(f"NB probability {p!r} is outside (0, 1) under smoothing "
                                  f"{self.smoothing!r}: a smoothing too small rounds it to 0 "
                                  "or 1, and one so large that a smoothed total overflows "
                                  "rounds it to 0")
-
-    @cached_property
-    def _logs(self) -> tuple[dict, dict]:
-        """``({p: log p}, {p: log(1 - p)})`` over the distinct conditionals:
-        a class column holds few distinct values, so each logarithm is taken
-        once per value."""
-        distinct = set(chain.from_iterable(self.cond))
-        return ({p: math.log(p) for p in distinct},
-                {p: math.log(1.0 - p) for p in distinct})
+            log_present[p] = math.log(p)
+            log_absent[p] = math.log(1.0 - p)
+        object.__setattr__(self, "_logs", (log_present, log_absent))
 
     @cached_property
     def log_tables(self) -> tuple:

@@ -44,11 +44,10 @@ class SubtraceIndex:
     its first crash, in first-occurrence order; a key's id is its ordinal
     in ``first``, ``heads[k]`` is the pool position of key k's first
     crash, ``key_ids[i]`` is the id of pool entry i's key and
-    ``lengths[k]`` is key k's length. ``bags[k]`` is key k's frame
-    multiset, ``postings`` maps each frame to the ids of the keys holding
-    it, and ``repeats[frame][j]`` to the ids of the keys holding it at
-    least j + 2 times, only for the frames some key holds more than once;
-    all id lists ascending.
+    ``lengths[k]`` is key k's length. ``postings`` maps each frame to the
+    ids of the keys holding it, and ``repeats[frame][j]`` to the ids of the
+    keys holding it at least j + 2 times, only for the frames some key
+    holds more than once; all id lists ascending.
     """
 
     pool: tuple[LabeledCrash, ...]
@@ -56,7 +55,6 @@ class SubtraceIndex:
     heads: tuple[int, ...]
     key_ids: tuple[int, ...]
     lengths: tuple[int, ...]
-    bags: tuple[Counter, ...]
     postings: dict[str, list[int]]
     repeats: dict[str, list[list[int]]]
 
@@ -67,15 +65,12 @@ class SubtraceIndex:
             return pool
         groups = group_by_subtrace(pool)
         key_ids = [0] * len(pool)
-        bags = []
         postings: dict[str, list[int]] = {}
         repeats: dict[str, list[list[int]]] = {}
         for key_id, (key, positions) in enumerate(groups.items()):
             for position in positions:
                 key_ids[position] = key_id
-            bag = Counter(key)
-            bags.append(bag)
-            for frame, count in bag.items():
+            for frame, count in Counter(key).items():
                 postings.setdefault(frame, []).append(key_id)
                 if count > 1:
                     levels = repeats.setdefault(frame, [])
@@ -88,7 +83,6 @@ class SubtraceIndex:
             heads=tuple(positions[0] for positions in groups.values()),
             key_ids=tuple(key_ids),
             lengths=tuple(map(len, groups)),
-            bags=tuple(bags),
             postings=postings,
             repeats=repeats,
         )

@@ -70,9 +70,6 @@ class FrameworkMatcher:
         # str.startswith takes a tuple of prefixes, not a list.
         object.__setattr__(self, "prefixes", checked_prefixes(self.prefixes))
 
-    def is_framework(self, class_name: str) -> bool:
-        return class_name.startswith(self.prefixes)
-
 
 @dataclass(frozen=True, slots=True)
 class CrashReport:

@@ -24,7 +24,8 @@ callback text and each distinct resolved reference text once.
 checks ran inline: it sends every value through ``expect`` and
 ``expect_items`` and builds each pointer up front. It is kept verbatim but
 for its name and its API parser, ``reference_api_from_json_obj``, which is
-``ApiRef.from_json_obj`` as it was when it re-raised through ``within``.
+``ApiRef.from_json_obj`` as it was when it re-raised through ``within``,
+the context manager that the error module then held, kept here verbatim.
 The loader must agree with both loaders on every input, down to which of
 several bad values it reports.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+from contextlib import contextmanager
 from functools import reduce
 from operator import getitem
 
@@ -55,9 +57,7 @@ from crashloc.appmodel import (
     parse_method_ref,
 )
 from crashloc.corpus import Category, LabeledCrash
-from crashloc.errors import (
-    ArtifactError, DanglingRef, SchemaError, expect, expect_items, within,
-)
+from crashloc.errors import ArtifactError, DanglingRef, SchemaError, expect, expect_items
 from crashloc.localizer import (
     LocalizationResult,
     Location,
@@ -507,6 +507,15 @@ def reference_parse_method_ref(text: str, is_developer: bool = True,
         signature=signature,
         is_developer=is_developer,
     )
+
+
+@contextmanager
+def within(pointer: str):
+    """Re-raises a SchemaError from the block as one at ``pointer`` + its own pointer."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(exc.message, pointer + exc.pointer) from exc
 
 
 def reference_api_from_json_obj(obj: dict, pointer: str = "") -> ApiRef:

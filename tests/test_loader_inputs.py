@@ -303,3 +303,18 @@ def test_undecodable_file_error_text_is_unchanged(tmp_path):
         read_text(path, "corpus")
     assert str(raised.value) == (f"cannot read corpus: {str(path)!r} is not UTF-8: 'utf-8' codec "
                                  "can't decode byte 0xff in position 2: invalid start byte")
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"\xef\xbb\xbfab\xffcd", "byte 0xff in position 5: invalid start byte"),
+    (b"\xef\xbb\xbf" + b"a" * 100_000 + b"\xffcd", "byte 0xff in position 100003: invalid start byte"),
+    (b"\xef\xbb\xbfab\xe2\x82", "bytes in position 5-6: unexpected end of data"),
+])
+def test_undecodable_byte_after_a_byte_order_mark_is_named_by_its_file_offset(tmp_path, data,
+                                                                              where):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as raised:
+        read_text(path, "corpus")
+    assert str(raised.value) == (f"cannot read corpus: {str(path)!r} is not UTF-8: 'utf-8' codec "
+                                 f"can't decode {where}")

@@ -394,8 +394,8 @@ def test_fit_pipeline_matches_hand_trained_parts(corpus_module, trained):
     pipeline = fit(corpus_module, Config())
     assert pipeline.nb == trained
     assert pipeline.corpus == tuple(corpus_module)
-    assert pipeline.index_b.pool == tuple(c for c in corpus_module if c.category is Category.B)
-    assert pipeline.index_c.pool == tuple(c for c in corpus_module if c.category is Category.C)
+    assert pipeline.index_b.index.pool == tuple(c for c in corpus_module if c.category is Category.B)
+    assert pipeline.index_c.index.pool == tuple(c for c in corpus_module if c.category is Category.C)
     assert pipeline.links_depth == Config().links_depth
 
 

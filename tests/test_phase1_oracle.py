@@ -12,11 +12,22 @@ the same tokens, scores, selected words, vectors, models and posteriors
 reference tokens once each, and ``evaluation.fit``, which reads its NB
 counts from a document-frequency table, must build the model of the dense
 chain, and reject with the same message a model the dense chain rejects.
+
+``TwoPassNBModel`` is ``NBModel``'s check and tables as they were when the
+logarithms were a second pass over the distinct conditionals (``_logs``),
+kept verbatim but for the tables' docstrings. On random ``train_counts`` models, with counts that tie
+within and across classes and conditionals that equal a prior, the
+one-pass ``NBModel`` must give bit-identical ``log_tables`` and
+``argmax_tables``; on models holding probabilities outside (0, 1) it must
+name the same first bad value.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Sequence
 
 import pytest
@@ -36,7 +47,7 @@ from crashloc.features import (
     chi_square_select,
     vectorize,
 )
-from crashloc.nb import CATEGORIES, Category, NBModel, predict, train
+from crashloc.nb import CATEGORIES, Category, NBModel, predict, train, train_counts
 from crashloc.trace import CrashReport
 
 from conftest import make_report
@@ -167,6 +178,70 @@ def reference_predict(model: NBModel, vector: FeatureVector) -> tuple[Category, 
             scores[k] += math.log(row[k]) if bit else math.log(1.0 - row[k])
     best = max(range(3), key=lambda k: (scores[k], -k))
     return CATEGORIES[best], dict(zip(CATEGORIES, scores))
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@dataclass(frozen=True)
+class TwoPassNBModel:
+    """``NBModel``'s probability check and log tables with ``_logs`` as a
+    second pass over the distinct conditionals."""
+
+    priors: tuple[float, float, float]
+    cond: tuple[tuple[float, float, float], ...]
+    smoothing: float
+
+    @property
+    def n_features(self) -> int:
+        return len(self.cond)
+
+    def __post_init__(self):
+        # predict takes log(p) and log(1 - p) of every probability. Equal values
+        # pass or fail alike, so each distinct one is checked, in first-occurrence
+        # order: the first bad value named is the first bad one in the model.
+        for p in dict.fromkeys(chain(self.priors, chain.from_iterable(self.cond))):
+            if not 0.0 < p < 1.0:
+                raise ValueError(f"NB probability {p!r} is outside (0, 1) under smoothing "
+                                 f"{self.smoothing!r}: a smoothing too small rounds it to 0 "
+                                 "or 1, and one so large that a smoothed total overflows "
+                                 "rounds it to 0")
+
+    @cached_property
+    def _logs(self) -> tuple[dict, dict]:
+        """``({p: log p}, {p: log(1 - p)})`` over the distinct conditionals:
+        a class column holds few distinct values, so each logarithm is taken
+        once per value."""
+        distinct = set(chain.from_iterable(self.cond))
+        return ({p: math.log(p) for p in distinct},
+                {p: math.log(1.0 - p) for p in distinct})
+
+    @cached_property
+    def log_tables(self) -> tuple:
+        log_present, log_absent = self._logs
+        return (
+            tuple(math.log(p) for p in self.priors),
+            tuple((log_absent[p0], log_absent[p1], log_absent[p2]) for p0, p1, p2 in self.cond),
+            tuple((log_present[p0], log_present[p1], log_present[p2]) for p0, p1, p2 in self.cond),
+        )
+
+    @cached_property
+    def argmax_tables(self) -> tuple:
+        columns = tuple(zip(*self.cond)) or ((), (), ())  # also for no features
+        log_present, log_absent = self._logs
+        log_delta = {p: lp - log_absent[p] for p, lp in log_present.items()}
+        log_priors = tuple(map(math.log, self.priors))
+        absent = [tuple(map(log_absent.__getitem__, col)) for col in columns]
+        present = [tuple(map(log_present.__getitem__, col)) for col in columns]
+        n = self.n_features + 1
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        return (
+            tuple(math.fsum((lp, *acol)) for lp, acol in zip(log_priors, absent)),
+            tuple(tuple(map(log_delta.__getitem__, col)) for col in columns),
+            # Every logarithm here is <= 0, so M_c is minus their sum.
+            tuple(-4.0 * gamma * math.fsum((lp, *acol, *pcol))
+                  for lp, acol, pcol in zip(log_priors, absent, present)),
+        )
 
 
 # -- corpora ------------------------------------------------------------------
@@ -369,3 +444,81 @@ def test_fit_rejects_the_model_the_dense_chain_rejects(smoothing):
     with pytest.raises(ValueError) as fitted:
         fit(corpus, Config(chi2_ratio=0.5, nb_smoothing=smoothing))
     assert str(fitted.value) == str(dense.value)
+
+
+# -- one-pass logarithms -------------------------------------------------------
+
+def _bits(table) -> list[str]:
+    """Every float of a nested tuple table, exactly (``-0.0`` too), in order."""
+    if isinstance(table, float):
+        return [table.hex()]
+    return [bit for item in table for bit in _bits(item)]
+
+
+@st.composite
+def count_models(draw):
+    """``train_counts`` arguments whose counts tie within and across classes:
+    bit counts from a pool of at most three values per class, class counts
+    from 0 to 4, so that equal columns and conditionals equal to a prior
+    (counts (1, 1, 1) give 1/3 for both) are common."""
+    counts = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3))
+    n = draw(st.integers(min_value=0, max_value=12))
+    ones = []
+    for count in counts:
+        pool = draw(st.lists(st.integers(min_value=0, max_value=count), min_size=1, max_size=3))
+        ones.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    smoothing = draw(st.sampled_from((1.0, 0.5, 2.0, 1e-15, 5e-324, 1e308))
+                     | st.floats(min_value=1e-3, max_value=10.0))
+    return counts, ones, smoothing
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=count_models())
+def test_one_pass_logs_match_the_two_pass_oracle(args):
+    counts, ones, smoothing = args
+    # train_counts's formulas, so that a model it rejects still has fields.
+    n = sum(counts)
+    priors = tuple((count + smoothing) / (n + 3 * smoothing) for count in counts)
+    cond = tuple(zip(*[[(c + smoothing) / (count + 2 * smoothing) for c in column]
+                       for count, column in zip(counts, ones)]))
+    try:
+        want = TwoPassNBModel(priors, cond, smoothing)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            train_counts(counts, ones, smoothing)
+        assert str(raised.value) == str(exc)
+        return
+    got = train_counts(counts, ones, smoothing)
+    assert (got.priors, got.cond) == (priors, cond)
+    assert _bits(got.log_tables) == _bits(want.log_tables)
+    assert _bits(got.argmax_tables) == _bits(want.argmax_tables)
+
+
+# Probabilities inside (0, 1) and outside it, so that a model holds several bad
+# values, repeated, before and after good ones.
+mixed_probabilities = st.sampled_from(
+    (0.25, 0.5, 1 / 3, 0.0, -0.0, 1.0, -0.5, 1.5, math.nan, math.inf, 5e-324))
+
+
+@settings(max_examples=300, deadline=None)
+@given(priors=st.lists(mixed_probabilities, min_size=3, max_size=3),
+       cond=st.lists(st.lists(mixed_probabilities, min_size=3, max_size=3).map(tuple),
+                     max_size=6))
+def test_one_pass_check_names_the_first_bad_probability(priors, cond):
+    try:
+        TwoPassNBModel(tuple(priors), tuple(cond), 1.0)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            NBModel(tuple(priors), tuple(cond), 1.0)
+        assert str(raised.value) == str(exc)
+    else:
+        model = NBModel(tuple(priors), tuple(cond), 1.0)
+        assert _bits(model.log_tables) == _bits(TwoPassNBModel(tuple(priors), tuple(cond),
+                                                               1.0).log_tables)
+
+
+def test_logarithms_are_held_outside_the_fields():
+    model = train_counts([2, 1, 1], [[2, 0], [1, 1], [0, 1]], 1.0)
+    assert "_logs" not in repr(model)
+    assert [f.name for f in dataclasses.fields(model)] == [
+        "priors", "cond", "smoothing", "selected_vocab"]

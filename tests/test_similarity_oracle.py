@@ -130,8 +130,9 @@ def reference_most_similar(query: CrashReport, pool: Pool) -> tuple[LabeledCrash
         raise EmptyPool("cannot pick the most similar crash from an empty pool")
     seq = frame_seq(query)
     bag = Counter(seq)
+    bags = [Counter(key) for key in index.first]
     best, best_score = None, -1.0
-    for key_bag, (key, position) in zip(index.bags, index.first.items()):
+    for key_bag, (key, position) in zip(bags, index.first.items()):
         longest = max(len(seq), len(key))
         if longest and (
             1.0 - abs(len(seq) - len(key)) / longest <= best_score
@@ -164,10 +165,11 @@ def reference_threshold_most_similar(query: CrashReport, pool: Pool) -> tuple[La
     if not index.pool:
         raise EmptyPool("cannot pick the most similar crash from an empty pool")
     seq = frame_seq(query)
+    bags = [Counter(key) for key in index.first]
     shared: dict[int, int] = {}
     for frame, count in Counter(seq).items():
         for key_id in index.postings.get(frame, ()):
-            shared[key_id] = shared.get(key_id, 0) + min(count, index.bags[key_id][frame])
+            shared[key_id] = shared.get(key_id, 0) + min(count, bags[key_id][frame])
     order = []  # (negated bound, key id)
     for key_id, common in shared.items():
         longest = max(len(seq), len(frame_seq(index.pool[index.heads[key_id]].report)))
@@ -459,7 +461,6 @@ def test_index_is_the_bucketing_of_its_pool(pool, query):
     for key_id, positions in enumerate(groups.values()):
         assert [index.key_ids[p] for p in positions] == [key_id] * len(positions)
     for key_id, key in enumerate(groups):
-        assert index.bags[key_id] == Counter(key)
         assert index.lengths[key_id] == len(key)
     assert len(index.lengths) == len(groups)
     frames = {frame for key in groups for frame in key}
@@ -480,7 +481,7 @@ def test_index_is_the_bucketing_of_its_pool(pool, query):
         for ids in ([index.postings.get(frame, [])] + index.repeats.get(frame, []))[:count]:
             counted.update(ids)
     assert [counted[key_id] for key_id in range(len(groups))] == [
-        shared_frames(bag, key_bag) for key_bag in index.bags]
+        shared_frames(bag, Counter(key)) for key in groups]
     assert SubtraceIndex.of(index) is index
 
 
@@ -611,7 +612,7 @@ def test_each_index_checks_its_labels_when_built():
             build(SubtraceIndex.of(pool))
     for build in (IndexB.of, IndexC.of):
         index = build(pool[:2])
-        assert index.pool == tuple(pool[:2])
+        assert index.index.pool == tuple(pool[:2])
         assert build(index) is index
 
 
@@ -625,4 +626,4 @@ def test_pipeline_indexes_each_pool_once_and_only_when_used(corpus):
     index_c = pipeline.index_c
     assert pipeline.locate_as(Category.C, query, None) == first
     assert pipeline.index_c is index_c
-    assert pipeline.index_c.pool == tuple(c for c in corpus if c.category is Category.C)
+    assert pipeline.index_c.index.pool == tuple(c for c in corpus if c.category is Category.C)

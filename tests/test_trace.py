@@ -197,11 +197,20 @@ def test_report_is_valid_when_built(listing1_report):
 
 
 def test_matcher_any_prefix():
-    matcher = FrameworkMatcher(("com.android.", "com.", "android."))
-    assert matcher.is_framework("com.android.internal.os.Zygote")
-    assert matcher.is_framework("com.example.app.Main")
-    assert not matcher.is_framework("org.example.Main")
-    assert FrameworkMatcher(["org."]).is_framework("org.example.Main")
+    """A frame is a framework frame when its class starts with any of the
+    matcher's prefixes, as ``parse_and_split`` labels it."""
+    zygote = "\tat com.android.internal.os.Zygote.fork(Zygote.java:1)\n"
+    app = "\tat com.example.app.Main.run(Main.java:2)\n"
+    org = "\tat org.example.Main.main(Main.java:3)\n"
+    header = "java.lang.RuntimeException: boom\n"
+    report = parse_and_split(header + zygote + app + org,
+                             FrameworkMatcher(("com.android.", "com.", "android.")))
+    assert report.subtrace_key == ("com.android.internal.os.Zygote.fork",
+                                   "com.example.app.Main.run")
+    assert [f.class_name for f in report.developer_frames] == ["org.example.Main"]
+    report = parse_and_split(header + org + app, FrameworkMatcher(["org."]))
+    assert report.subtrace_key == ("org.example.Main.main",)
+    assert [f.class_name for f in report.developer_frames] == ["com.example.app.Main"]
 
 
 def test_roundtrip_all_fixture_logs(matcher):

@@ -3,7 +3,9 @@
 ``reference_parse_crash_log`` and ``reference_split_frames`` are the
 former parser and splitter kept verbatim, except that they return the
 field values instead of a ``CrashReport``: the parser the header and the
-frames, the splitter all seven fields. On generated crash text (headers
+frames, the splitter all seven fields. Here and below, a class is a
+framework class when ``str.startswith`` takes one of the matcher's
+prefixes, as the matcher's former ``is_framework`` method tested. On generated crash text (headers
 with and without a message, leading blank lines, junk lines, ``Caused
 by:`` sections, every location form, and traces that are all framework
 or hold no frame at all) ``parse_and_split`` must give the same seven
@@ -107,7 +109,7 @@ def reference_split_frames(report: dict, matcher: FrameworkMatcher) -> dict:
     """
     if not report["frames"]:
         raise MalformedLog("report has no frames")
-    is_dev = [not matcher.is_framework(f.class_name) for f in report["frames"]]
+    is_dev = [not f.class_name.startswith(matcher.prefixes) for f in report["frames"]]
     if not any(is_dev):
         raise NoDeveloperFrame(
             f"all {len(report['frames'])} frames match framework prefixes"
@@ -287,7 +289,7 @@ def line_split_parse_and_split(text: str, matcher: FrameworkMatcher) -> CrashRep
             file, line = file or None, None
         frame = StackFrame(cls, method, file, line, len(frames))
         frames.append(frame)
-        if not matcher.is_framework(cls):
+        if not cls.startswith(matcher.prefixes):
             developer.append(frame)
     if not frames:
         raise MalformedLog("no 'at <class>.<method>(...)' line found")
