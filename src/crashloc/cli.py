@@ -15,7 +15,10 @@ error reports). Exit codes: 2 for unusable inputs (missing files, schema
 errors, malformed logs), 3 for localization failures; a reader that closes
 stdout early ends the command quietly with 0. CRASHLOC_CONFIG may
 point at a JSON config file for train, evaluate and inspect; locate reads
-its settings from the model bundle instead. Flags override either.
+its settings from the model bundle instead. Flags override either. train
+also stores the B and C training pools in the bundle; locate builds them
+from it when the corpus bytes and the framework prefixes are those that
+train read, and parses the corpus otherwise.
 """
 from __future__ import annotations
 
@@ -32,12 +35,14 @@ from .appmodel import app_model_from_json, load_app_model
 from .config import Config, config_from_json_obj, load_config
 from .corpus import CATEGORIES, load_corpus
 from .errors import (
-    CrashLocError, LocateError, SchemaError, expect, naming, parse_json, read_text, write_text,
+    CrashLocError, LocateError, SchemaError, expect, naming, parse_json, read_bytes, read_text,
+    write_text,
 )
 from .evaluation import bucketize, evaluate, fit, render_bucket_summary, render_text
 from .features import SelectedVocabulary
 from .localizer import locate, location_label
 from .nb import NBModel
+from .pool import StoredPool, pool_from_json_obj, pool_to_json_obj
 from .trace import FrameworkMatcher, parse_and_split
 
 BUNDLE_KIND = "crashloc-model-bundle"
@@ -93,14 +98,16 @@ def _resolve_config(args: argparse.Namespace, base: Config | None = None) -> Con
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _bundle_to_obj(nb_model: NBModel, config: Config) -> dict:
-    """The JSON value of a model bundle: training config, selected vocabulary, categorizer."""
-    return {
+def _bundle_to_obj(nb_model: NBModel, config: Config, pool: dict | None = None) -> dict:
+    """The JSON value of a model bundle: training config, selected vocabulary,
+    categorizer and, when given, the stored training pool."""
+    obj = {
         "kind": BUNDLE_KIND,
         "config": config.to_json_obj(),
         "selected_vocab": nb_model.selected_vocab.to_json_obj(),
         "nb": nb_model.to_json_obj(),
     }
+    return obj if pool is None else obj | {"pool": pool}
 
 
 def _bundle_from_obj(obj) -> tuple[NBModel, Config]:
@@ -111,14 +118,22 @@ def _bundle_from_obj(obj) -> tuple[NBModel, Config]:
     return nb_model, config_from_json_obj(expect(obj, "config", dict, ""), "/config")
 
 
+def _bundle_pool(obj: dict) -> StoredPool | None:
+    """The stored training pool of a model bundle's JSON value, if it has one
+    of a version this code reads."""
+    return pool_from_json_obj(obj["pool"]) if "pool" in obj else None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes))
+    data = read_bytes(args.corpus, "corpus")
+    corpus = load_corpus(args.corpus, FrameworkMatcher(config.framework_prefixes), data)
     with naming("corpus", args.corpus):
         nb_model = fit(corpus, config).nb
     selected = nb_model.selected_vocab
     out_path = Path(args.model)
-    write_text(out_path, json.dumps(_bundle_to_obj(nb_model, config), indent=2) + "\n",
+    pool = pool_to_json_obj(corpus, data, config.framework_prefixes)
+    write_text(out_path, json.dumps(_bundle_to_obj(nb_model, config, pool), indent=2) + "\n",
                "model bundle")
     summary = {
         "documents": len(corpus),
@@ -134,10 +149,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_locate(args: argparse.Namespace) -> int:
     text = read_text(args.model, "model bundle")
     with naming("model bundle", args.model):
-        nb_model, bundle_config = _bundle_from_obj(parse_json(text, "model bundle"))
+        obj = parse_json(text, "model bundle")
+        nb_model, bundle_config = _bundle_from_obj(obj)
+        pool = _bundle_pool(obj)
     config = _resolve_config(args, bundle_config)
     matcher = FrameworkMatcher(config.framework_prefixes)
-    corpus = load_corpus(args.corpus, matcher)
+    data = read_bytes(args.corpus, "corpus")
+    if pool is not None and pool.serves(data, config.framework_prefixes):
+        corpus = pool.crashes
+    else:
+        corpus = load_corpus(args.corpus, matcher, data)
     app_model = load_app_model(args.app_model) if args.app_model else None
     text = read_text(args.crash_log, "crash log")
     with naming("crash log", args.crash_log):
@@ -204,6 +225,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def _inspect_json_object(obj: dict) -> dict:
     if obj.get("kind") == BUNDLE_KIND or ("nb" in obj and "selected_vocab" in obj):
         nb_model, _ = _bundle_from_obj(obj)
+        pool = _bundle_pool(obj)
         selected = nb_model.selected_vocab
         return {
             "kind": "model_bundle",
@@ -212,6 +234,8 @@ def _inspect_json_object(obj: dict) -> dict:
             "ratio": selected.ratio,
             "smoothing": nb_model.smoothing,
             "priors": {c.value: nb_model.prior(c) for c in CATEGORIES},
+            "pool": None if pool is None else {"crashes": len(pool.crashes),
+                                               "corpus_sha256": pool.corpus_sha256},
         }
     if "classes" in obj:
         model = app_model_from_json(obj)
@@ -254,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_locate = sub.add_parser("locate", help="locate one crash")
     p_locate.add_argument("crash_log", help="crash log file")
     p_locate.add_argument("--model", required=True, help="trained model bundle")
-    p_locate.add_argument("--corpus", required=True, help="labeled corpus (JSON lines)")
+    p_locate.add_argument("--corpus", required=True,
+                          help="labeled corpus (JSON lines); not parsed when it holds the bytes "
+                               "the bundle's stored pool was trained on")
     p_locate.add_argument("--app-model", dest="app_model", default=None,
                           help="static app model JSON for Category-B localization")
     p_locate.add_argument("--pretty", action="store_true",

@@ -26,7 +26,9 @@ from enum import Enum
 from pathlib import Path
 
 from .appmodel import ApiRef, parse_method_ref, well_formed_api
-from .errors import CrashLocError, SchemaError, expect, naming, parse_json, read_text, write_text
+from .errors import (
+    CrashLocError, SchemaError, decode_text, expect, naming, parse_json, read_bytes, write_text,
+)
 from .records import builder
 from .trace import CrashReport, FrameworkMatcher, parse_and_split
 
@@ -157,9 +159,13 @@ def labeled_crash_from_json(
                           crash_log)
 
 
-def load_corpus(path: str | Path, matcher: FrameworkMatcher) -> list[LabeledCrash]:
+def load_corpus(
+    path: str | Path, matcher: FrameworkMatcher, data: bytes | None = None
+) -> list[LabeledCrash]:
+    """The crashes of the corpus file at ``path``; ``data`` is its bytes when
+    the caller has read them already."""
     path = Path(path)
-    text = read_text(path, "corpus")
+    text = decode_text(read_bytes(path, "corpus") if data is None else data, path, "corpus")
     crashes = []
     with naming("corpus", path):
         # Records end at "\n" only: str.splitlines would also split at the

@@ -77,24 +77,35 @@ def parse_json(text: str, what: str, pointer: str = "/"):
         raise SchemaError(f"{what} is not valid JSON: {exc}", pointer) from exc
 
 
-def read_text(path: str | Path, what: str) -> str:
-    """The text of the UTF-8 file at ``path``, read in text mode so that
-    ``"\\r\\n"`` and ``"\\r"`` read as ``"\\n"``, less one leading byte order
-    mark (U+FEFF), as some editors save one; SchemaError naming ``what``, the
-    file and any bad byte's offset in it if it cannot be read or decoded."""
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the file at ``path``; SchemaError naming ``what`` and the
+    file if it cannot be read."""
     try:
-        with open(path, encoding="utf-8-sig") as file:
-            try:
-                return file.read()
-            except UnicodeDecodeError as exc:
-                # The decoder counts from after a mark: count from the file's start.
-                raw, mark = file.buffer, b"\xef\xbb\xbf"
-                if raw.seekable() and raw.seek(0) == 0 and raw.read(3) == mark:
-                    exc = UnicodeDecodeError(exc.encoding, mark + exc.object,
-                                             exc.start + 3, exc.end + 3, exc.reason)
-                raise SchemaError(f"cannot read {what}: {str(path)!r} is not UTF-8: {exc}") from exc
+        with open(path, "rb") as file:
+            return file.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
+
+
+def decode_text(data: bytes, path: str | Path, what: str) -> str:
+    """``data``, the bytes of the file at ``path``, decoded as UTF-8 in one
+    call, less one leading byte order mark (U+FEFF), as some editors save
+    one, with ``"\\r\\n"`` and ``"\\r"`` read as ``"\\n"``, as text mode reads
+    them; SchemaError naming ``what``, the file and any bad byte's offset in
+    it if it is not UTF-8. The mark is decoded with the rest and dropped
+    after, so that the offset counts it."""
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {what}: {str(path)!r} is not UTF-8: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The text of the UTF-8 file at ``path``, as ``decode_text`` gives it."""
+    return decode_text(read_bytes(path, what), path, what)
 
 
 def write_text(path: str | Path, text: str, what: str) -> None:

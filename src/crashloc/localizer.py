@@ -262,7 +262,9 @@ class Pipeline:
     """A fitted two-phase localizer: the categorizer (``nb`` carries the
     selected vocabulary) and the labeled crashes the B and C locators use.
     Each locator's pool is that category's crashes of ``corpus``, taken,
-    indexed by sub-trace and checked for its labels on its first use."""
+    indexed by sub-trace and checked for its labels on its first use.
+    ``corpus`` may also hold the ``pool.PooledCrash`` records of a model
+    bundle, which carry what the locators read of a labeled crash."""
 
     nb: NBModel
     corpus: tuple[LabeledCrash, ...]

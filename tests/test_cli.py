@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, REPO_ROOT, run_cli
 from crashloc import cli
-from crashloc.corpus import load_corpus
+from crashloc.corpus import Category, load_corpus
 from crashloc.localizer import locate
 from crashloc.trace import FrameworkMatcher, parse_and_split
 
@@ -175,6 +176,18 @@ def test_inspect_corpus_bundle_and_app_model(bundle):
     assert model_summary["kind"] == "app_model"
     assert model_summary["classes"] == 2
     assert model_summary["apis"] == 2
+
+
+def test_inspect_reports_the_stored_pool_or_null(bundle, tmp_path):
+    path, _ = bundle
+    summary = json.loads(run_cli("inspect", str(path)).stdout)
+    digest = hashlib.sha256(CORPUS_PATH.read_bytes()).hexdigest()
+    assert summary["pool"] == {"crashes": 20, "corpus_sha256": digest}  # the B and C crashes
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    del obj["pool"]
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(obj), encoding="utf-8")
+    assert json.loads(run_cli("inspect", str(older)).stdout)["pool"] is None
 
 
 def test_inspect_rejects_unknown_file(tmp_path):
@@ -343,7 +356,24 @@ def test_locate_takes_settings_from_bundle(tmp_path, monkeypatch, capsys):
     expected = parse_and_split(log.read_text(encoding="utf-8"), trained)
     assert expected != parse_and_split(log.read_text(encoding="utf-8"), FrameworkMatcher())
     assert [(r, d) for r, _, d in seen] == [(expected, 1), (expected, 3)]
-    assert seen[0][1] == load_corpus(CORPUS_PATH, trained)
+    # The bundle's stored pool holds the B and C crashes as the trained
+    # prefixes split them; without it, locate parses the corpus with them.
+    corpus = load_corpus(CORPUS_PATH, trained)
+    assert list(map(_pooled_view, seen[0][1])) == [
+        _pooled_view(c) for c in corpus if c.category is not Category.A]
+    bundle = json.loads(out.read_text(encoding="utf-8"))
+    del bundle["pool"]
+    out.write_text(json.dumps(bundle), encoding="utf-8")
+    cli.main(args)
+    capsys.readouterr()
+    assert seen[2][0] == expected
+    assert seen[2][1] == corpus
+
+
+def _pooled_view(crash):
+    """What the Phase-2 locators read of a training crash."""
+    label = crash.api_h if crash.category is Category.B else crash.sub_category
+    return crash.category, label, crash.report.subtrace_key
 
 
 def test_stderr_carries_json_lines_only(bundle):

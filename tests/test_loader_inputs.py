@@ -12,6 +12,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -24,9 +26,10 @@ from crashloc.config import Config, config_from_json_obj
 from crashloc.corpus import labeled_crash_from_json, load_corpus
 from crashloc.errors import ArtifactError, SchemaError, read_text
 from crashloc.evaluation import fit
+from crashloc.pool import pool_from_json_obj, pool_to_json_obj
 from crashloc.trace import FrameworkMatcher
 
-from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, json_fields, run_cli
+from conftest import APP_MODELS, CORPUS_PATH, CRASH_DIR, REPO_ROOT, json_fields, run_cli
 
 CORPUS_LINES = [json.loads(line) for line in CORPUS_PATH.read_text(encoding="utf-8").splitlines()]
 APP_MODEL_OBJS = [json.loads(p.read_text(encoding="utf-8"))
@@ -34,6 +37,9 @@ APP_MODEL_OBJS = [json.loads(p.read_text(encoding="utf-8"))
 CONFIG_OBJ = Config().to_json_obj()
 BUNDLE_OBJ = json.loads(json.dumps(_bundle_to_obj(
     fit(load_corpus(CORPUS_PATH, FrameworkMatcher()), Config()).nb, Config())))
+POOL_OBJ = json.loads(json.dumps(pool_to_json_obj(
+    load_corpus(CORPUS_PATH, FrameworkMatcher()), CORPUS_PATH.read_bytes(),
+    Config().framework_prefixes)))
 
 
 def _strings(value) -> set:
@@ -86,6 +92,7 @@ LOADERS = {
     "app-model": (APP_MODEL_OBJS, app_model_from_json, lambda model: []),
     "config": ([CONFIG_OBJ], config_from_json_obj, _config_numbers),
     "bundle": ([BUNDLE_OBJ], _bundle_from_obj, _bundle_numbers),
+    "pool": ([POOL_OBJ], pool_from_json_obj, lambda pool: []),
 }
 
 
@@ -318,3 +325,52 @@ def test_undecodable_byte_after_a_byte_order_mark_is_named_by_its_file_offset(tm
         read_text(path, "corpus")
     assert str(raised.value) == (f"cannot read corpus: {str(path)!r} is not UTF-8: 'utf-8' codec "
                                  f"can't decode {where}")
+
+
+def _read_from(how: str, tmp_path, data: bytes):
+    """``read_text`` of ``data`` as a crash log, from a regular file or a pipe."""
+    if how == "file":
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        return read_text(path, "crash log")
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        return read_text(f"/dev/fd/{read_end}", "crash log")
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize("how", ["file", "pipe"])
+@pytest.mark.parametrize("data, where", [
+    (b"\xef\xbb", "bytes in position 0-1: unexpected end of data"),
+    (b"\xef\xbb\xbfab\xffcd", "byte 0xff in position 5: invalid start byte"),
+])
+def test_part_of_a_mark_or_a_bad_byte_after_one_is_named_by_its_offset(tmp_path, how, data,
+                                                                        where):
+    """Only the first two bytes of a byte order mark are not UTF-8, and a
+    bad byte after a whole mark is named by its offset in the input, read
+    from a file or from a pipe that cannot seek."""
+    with pytest.raises(SchemaError) as raised:
+        _read_from(how, tmp_path, data)
+    assert str(raised.value).endswith(f" is not UTF-8: 'utf-8' codec can't decode {where}")
+
+
+@pytest.mark.parametrize("how", ["file", "pipe"])
+def test_crlf_and_cr_read_as_line_feeds_after_a_mark(tmp_path, how):
+    assert _read_from(how, tmp_path, b"\xef\xbb\xbfa\r\nb\rc\n\r\r\n") == "a\nb\nc\n\n\n"
+
+
+def test_crash_log_piped_to_stdin_names_its_bad_byte_by_file_offset(tmp_path):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(BUNDLE_OBJ), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crashloc", "locate", "/dev/stdin", "--model", str(bundle),
+         "--corpus", str(CORPUS_PATH)],
+        input=b"\xef\xbb\xbfab\xffcd", capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["message"] == (
+        "cannot read crash log: '/dev/stdin' is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 5: invalid start byte")

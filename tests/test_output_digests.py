@@ -4,11 +4,14 @@ The SHA-256 digests below were recorded once, from the implementation that
 compared every pool entry, and are never regenerated by the tests: a speed-up
 that changes any output byte (a rank, a score, a float mean's last digit)
 fails here. ``evaluate`` is pinned for seeds 0-2 under both protocols, and
-``locate`` for every fixture crash log with the geography app model.
+``locate`` for every fixture crash log with the geography app model, both
+from the bundle's stored training pool and, with ``pool`` deleted from the
+bundle, from the parsed corpus.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -74,6 +77,15 @@ def bundle(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def bundle_without_pool(bundle):
+    obj = json.loads(bundle.read_text(encoding="utf-8"))
+    del obj["pool"]
+    path = bundle.with_name("bundle-without-pool.json")
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
 def test_every_fixture_crash_log_is_pinned():
     assert sorted(LOCATE_DIGESTS) == sorted(p.name for p in CRASH_DIR.glob("*.log"))
 
@@ -81,5 +93,13 @@ def test_every_fixture_crash_log_is_pinned():
 @pytest.mark.parametrize("log_name", sorted(LOCATE_DIGESTS))
 def test_locate_stdout_is_byte_identical(capsys, bundle, log_name):
     argv = ["locate", str(CRASH_DIR / log_name), "--model", str(bundle),
+            "--corpus", str(CORPUS_PATH), "--app-model", str(APP_MODELS / "geography.json")]
+    assert _stdout_digest(capsys, argv) == LOCATE_DIGESTS[log_name]
+
+
+@pytest.mark.parametrize("log_name", sorted(LOCATE_DIGESTS))
+def test_locate_stdout_without_the_stored_pool_is_byte_identical(capsys, bundle_without_pool,
+                                                                 log_name):
+    argv = ["locate", str(CRASH_DIR / log_name), "--model", str(bundle_without_pool),
             "--corpus", str(CORPUS_PATH), "--app-model", str(APP_MODELS / "geography.json")]
     assert _stdout_digest(capsys, argv) == LOCATE_DIGESTS[log_name]

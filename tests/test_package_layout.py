@@ -30,7 +30,8 @@ UNREAD_BY_DESIGN = {
 # loads each of them, so adding one is a visible edit here.
 STDLIB_IMPORTS = {
     "__future__", "argparse", "collections", "contextlib", "dataclasses", "enum", "functools",
-    "itertools", "json", "logging", "math", "operator", "os", "pathlib", "re", "sys", "typing",
+    "hashlib", "itertools", "json", "logging", "math", "operator", "os", "pathlib", "re", "sys",
+    "typing",
 }
 
 
