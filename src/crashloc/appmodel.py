@@ -31,7 +31,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
-    DanglingRef, SchemaError, expect, expect_items, naming, parse_json, read_text,
+    ArtifactError, DanglingRef, SchemaError, expect, expect_items, naming, nested, parse_json,
+    read_text,
 )
 from .records import builder
 
@@ -84,11 +85,19 @@ class ApiRef:
 
     @classmethod
     def from_json_obj(cls, obj: dict, pointer: str = "") -> "ApiRef":
+        """The API of a JSON object whose names are texts and whose kind is
+        known, built without ``__init__``; else SchemaError at ``pointer``."""
+        if type(obj) is dict:
+            class_name, method_name = obj.get("class_name"), obj.get("method_name")
+            kind = obj.get("kind")
+            if (type(class_name) is str and type(method_name) is str and type(kind) is str
+                    and kind in API_KINDS):
+                return _api_ref(class_name, method_name, kind)
         values = [expect(obj, key, str, pointer) for key in ("class_name", "method_name", "kind")]
         try:
             return cls(*values)
         except SchemaError as exc:
-            raise SchemaError(exc.message, pointer + exc.pointer) from exc
+            raise nested(exc, pointer) from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,19 +111,6 @@ class ClassDef:
 _method_ref = builder(MethodRef)
 _api_ref = builder(ApiRef)
 _class_def = builder(ClassDef)
-
-
-def well_formed_api(obj) -> ApiRef | None:
-    """The ApiRef of an API object whose names are texts and whose kind is
-    known, built without ``ApiRef``'s check; None for any other value, which
-    ``ApiRef.from_json_obj`` then reports."""
-    if type(obj) is dict:
-        class_name, method_name = obj.get("class_name"), obj.get("method_name")
-        kind = obj.get("kind")
-        if (type(class_name) is str and type(method_name) is str and type(kind) is str
-                and kind in API_KINDS):
-            return _api_ref(class_name, method_name, kind)
-    return None
 
 
 @dataclass(frozen=True)
@@ -238,165 +234,103 @@ def load_app_model(path: str | Path) -> AppModel:
 
 
 def app_model_from_json(obj: dict) -> AppModel:
-    # One pass over the model. A value of its JSON type passes a ``type(v)
-    # is T`` test in place; any other value goes to the shape check that
-    # reports it (``expect``, ``expect_items``), so an error's message and
-    # pointer are built only for the value that fails, and a list's items
-    # are all checked before the first is used. A callback text and a
-    # resolved reference text are each parsed once per load.
+    # One pass over the model. Every value is checked with ``expect`` or
+    # ``expect_items``, which build a message only for the value that fails;
+    # pointers in an entry are relative to it, and its own is built only for
+    # an error. A list's items are all checked before the first is used, and
+    # a callback text and a resolved reference text are each parsed once.
     callbacks: dict = {}  # text -> the non-overridden callback it names
     resolved: dict = {}  # text -> the declared method, or the API a callee names
     classes: dict = {}
     declared: set = set()  # canonical strings of the active methods
-    top = obj if type(obj) is dict else {}
-    centries = top.get("classes")
-    if type(centries) is not list:
-        centries = expect(obj, "classes", list, "")
-    for ci, centry in enumerate(centries):
-        entry = centry if type(centry) is dict else {}
-        name = entry.get("name")
-        if type(name) is not str:
-            name = expect(centry, "name", str, f"/classes/{ci}")
-        if name in classes:
-            raise SchemaError(f"class {name!r} declared twice", f"/classes/{ci}/name")
-        supers = entry.get("superclasses")
-        if type(supers) is not list:
-            supers = expect(centry, "superclasses", list, f"/classes/{ci}")
-        for text in supers:
-            if type(text) is not str:
-                expect_items(supers, str, f"/classes/{ci}/superclasses")
-                break
-        supers = tuple(supers)
-        texts = entry.get("active_methods")
-        if type(texts) is not list:
-            texts = expect(centry, "active_methods", list, f"/classes/{ci}")
-        for text in texts:
-            if type(text) is not str:
-                expect_items(texts, str, f"/classes/{ci}/active_methods")
-                break
-        active = []
-        for mi, mtext in enumerate(texts):
-            try:
-                ref = parse_method_ref(mtext)
-            except SchemaError as exc:
-                raise SchemaError(exc.message, f"/classes/{ci}/active_methods/{mi}") from None
-            canonical = ref.canonical()
-            if ref.class_name != name:
-                raise SchemaError(f"active method {canonical!r} is not declared in {name!r}",
-                                  f"/classes/{ci}/active_methods/{mi}")
-            if canonical in declared:
-                raise SchemaError(f"method {canonical!r} declared twice",
-                                  f"/classes/{ci}/active_methods/{mi}")
-            declared.add(canonical)
-            resolved[mtext] = ref
-            active.append(ref)
-        # A superclass listed twice ranks at its last position.
-        chain_pos = {cls: i for i, cls in enumerate(supers)}
-        texts = entry.get("non_overridden_callbacks")
-        if type(texts) is not list:
-            texts = expect(centry, "non_overridden_callbacks", list, f"/classes/{ci}")
-        for text in texts:
-            if type(text) is not str:
-                expect_items(texts, str, f"/classes/{ci}/non_overridden_callbacks")
-                break
-        ncs = []
-        for mi, mtext in enumerate(texts):
-            ref = callbacks.get(mtext)
-            if ref is None:
-                try:
-                    ref = callbacks[mtext] = parse_method_ref(mtext, False)
-                except SchemaError as exc:
-                    raise SchemaError(exc.message,
-                                      f"/classes/{ci}/non_overridden_callbacks/{mi}") from None
-            if ref.class_name not in chain_pos:
-                raise DanglingRef(
-                    f"callback {ref.canonical()!r} is defined outside the "
-                    f"superclass chain of {name!r}",
-                    f"/classes/{ci}/non_overridden_callbacks/{mi}",
-                )
-            ncs.append(ref)
-        if active and ncs:
-            overlap = {(m.method_name, m.signature) for m in active} & {
-                (m.method_name, m.signature) for m in ncs
-            }
-            if overlap:
-                raise SchemaError(f"methods both active and non-overridden in {name!r}: "
-                                  f"{sorted(overlap, key=str)}", f"/classes/{ci}")
+    for ci, centry in enumerate(expect(obj, "classes", list, "")):
+        try:
+            name = expect(centry, "name", str, "")
+            if name in classes:
+                raise SchemaError(f"class {name!r} declared twice", "/name")
+            supers = tuple(expect_items(expect(centry, "superclasses", list, ""), str,
+                                        "/superclasses"))
+            active = []
+            texts = expect_items(expect(centry, "active_methods", list, ""), str, "/active_methods")
+            for mi, text in enumerate(texts):
+                at = f"/active_methods/{mi}"
+                ref = parse_method_ref(text, True, at)
+                canonical = ref.canonical()
+                if ref.class_name != name:
+                    raise SchemaError(f"active method {canonical!r} is not declared in {name!r}",
+                                      at)
+                if canonical in declared:
+                    raise SchemaError(f"method {canonical!r} declared twice", at)
+                declared.add(canonical)
+                resolved[text] = ref
+                active.append(ref)
+            # A superclass listed twice ranks at its last position.
+            chain_pos = {cls: i for i, cls in enumerate(supers)}
+            ncs = []
+            texts = expect_items(expect(centry, "non_overridden_callbacks", list, ""), str,
+                                 "/non_overridden_callbacks")
+            for mi, text in enumerate(texts):
+                ref = callbacks.get(text)
+                if ref is None:
+                    ref = callbacks[text] = parse_method_ref(text, False,
+                                                             f"/non_overridden_callbacks/{mi}")
+                if ref.class_name not in chain_pos:
+                    raise DanglingRef(f"callback {ref.canonical()!r} is defined outside the "
+                                      f"superclass chain of {name!r}",
+                                      f"/non_overridden_callbacks/{mi}")
+                ncs.append(ref)
+            if active and ncs:
+                overlap = {(m.method_name, m.signature) for m in active} & {
+                    (m.method_name, m.signature) for m in ncs
+                }
+                if overlap:
+                    raise SchemaError(f"methods both active and non-overridden in {name!r}: "
+                                      f"{sorted(overlap, key=str)}", "/")
+        except ArtifactError as exc:
+            raise nested(exc, f"/classes/{ci}") from None
         if len(ncs) > 1:
             ncs.sort(key=lambda nc: chain_pos[nc.class_name])
         classes[name] = _class_def(name, supers, tuple(active), tuple(ncs))
 
-    aentries = top.get("apis")
-    if type(aentries) is not list:
-        aentries = expect(obj, "apis", list, "")
-    apis = tuple(well_formed_api(a) or ApiRef.from_json_obj(a, f"/apis/{ai}")
-                 for ai, a in enumerate(aentries))
+    apis = tuple(ApiRef.from_json_obj(a, f"/apis/{ai}")
+                 for ai, a in enumerate(expect(obj, "apis", list, "")))
     api_names = {(a.class_name, a.method_name) for a in apis}
 
-    def resolve(text: str, what: str, *keys) -> MethodRef:
-        """The declared method ``text`` names; for a callee, else the API it
-        names. ``keys`` locate ``text`` in the model, for an error."""
+    def resolve(text: str, what: str, pointer: str) -> MethodRef:
+        """The declared method ``text`` names; for a callee, else the API it names."""
         ref = resolved.get(text)
         if ref is None:
-            try:
-                ref = parse_method_ref(text)
-            except SchemaError as exc:
-                raise SchemaError(exc.message, _pointer(keys)) from None
+            ref = parse_method_ref(text, True, pointer)
             if ref.canonical() not in declared:
                 if (ref.class_name, ref.method_name) not in api_names:
-                    raise _undeclared(ref, what, _pointer(keys))
+                    raise _undeclared(ref, what, pointer)
                 ref = _method_ref(ref.class_name, ref.method_name, ref.signature, False)
             resolved[text] = ref
         if not ref.is_developer and what != "callee":
-            raise _undeclared(ref, what, _pointer(keys))
+            raise _undeclared(ref, what, pointer)
         return ref
 
-    ientries = top.get("invocations")
-    if type(ientries) is not list:
-        ientries = expect(obj, "invocations", list, "")
     invocations = []
-    for ii, ientry in enumerate(ientries):
-        entry = ientry if type(ientry) is dict else {}
-        text = entry.get("caller")
-        if type(text) is not str:
-            text = expect(ientry, "caller", str, f"/invocations/{ii}")
-        caller = resolved.get(text)
-        if caller is None or not caller.is_developer:
-            caller = resolve(text, "caller", "invocations", ii, "caller")
-        texts = entry.get("callees")
-        if type(texts) is not list:
-            texts = expect(ientry, "callees", list, f"/invocations/{ii}")
-        for text in texts:
-            if type(text) is not str:
-                expect_items(texts, str, f"/invocations/{ii}/callees")
-                break
-        callees = []
-        for ci, text in enumerate(texts):
-            callees.append(resolved.get(text) or resolve(text, "callee", "invocations", ii,
-                                                          "callees", ci))
+    for ii, ientry in enumerate(expect(obj, "invocations", list, "")):
+        try:
+            caller = resolve(expect(ientry, "caller", str, ""), "caller", "/caller")
+            texts = expect_items(expect(ientry, "callees", list, ""), str, "/callees")
+            callees = [resolved.get(text) or resolve(text, "callee", f"/callees/{ci}")
+                       for ci, text in enumerate(texts)]
+        except ArtifactError as exc:
+            raise nested(exc, f"/invocations/{ii}") from None
         invocations.append((caller, tuple(callees)))
 
-    pentries = top.get("param_flows")
-    if type(pentries) is not list:
-        pentries = expect(obj, "param_flows", list, "")
     param_flows = []
-    for pi, pentry in enumerate(pentries):
-        entry = pentry if type(pentry) is dict else {}
-        text = entry.get("callee")
-        if type(text) is not str:
-            text = expect(pentry, "callee", str, f"/param_flows/{pi}")
-        callee = resolved.get(text)
-        if callee is None or not callee.is_developer:
-            callee = resolve(text, "param flow callee", "param_flows", pi, "callee")
-        position = entry.get("position")
-        if type(position) is not int:
-            position = expect(pentry, "position", int, f"/param_flows/{pi}")
-        if position < 0:
-            raise SchemaError("position must be >= 0", f"/param_flows/{pi}/position")
-        class_name = entry.get("class_name")
-        if type(class_name) is not str:
-            class_name = expect(pentry, "class_name", str, f"/param_flows/{pi}")
-        param_flows.append((callee, position, class_name))
+    for pi, pentry in enumerate(expect(obj, "param_flows", list, "")):
+        try:
+            callee = resolve(expect(pentry, "callee", str, ""), "param flow callee", "/callee")
+            position = expect(pentry, "position", int, "")
+            if position < 0:
+                raise SchemaError("position must be >= 0", "/position")
+            param_flows.append((callee, position, expect(pentry, "class_name", str, "")))
+        except ArtifactError as exc:
+            raise nested(exc, f"/param_flows/{pi}") from None
 
     return AppModel(
         classes=classes,
@@ -404,11 +338,6 @@ def app_model_from_json(obj: dict) -> AppModel:
         param_flows=tuple(param_flows),
         apis=apis,
     )
-
-
-def _pointer(keys) -> str:
-    """The JSON pointer to the value at ``keys``, from the document's root."""
-    return "".join(f"/{key}" for key in keys)
 
 
 def _undeclared(ref: MethodRef, what: str, pointer: str) -> DanglingRef:

@@ -110,18 +110,15 @@ def _bundle_to_obj(nb_model: NBModel, config: Config, pool: dict | None = None) 
     return obj if pool is None else obj | {"pool": pool}
 
 
-def _bundle_from_obj(obj) -> tuple[NBModel, Config]:
-    """Categorizer and training config of a model bundle's JSON value."""
+def _bundle_from_obj(obj) -> tuple[NBModel, Config, StoredPool | None]:
+    """Categorizer, training config and stored training pool of a model
+    bundle's JSON value; the pool is None when the bundle has none of a
+    version this code reads."""
     vocab_obj = expect(obj, "selected_vocab", dict, "")
     selected = SelectedVocabulary.from_json_obj(vocab_obj, "/selected_vocab")
     nb_model = NBModel.from_json_obj(expect(obj, "nb", dict, ""), selected, "/nb")
-    return nb_model, config_from_json_obj(expect(obj, "config", dict, ""), "/config")
-
-
-def _bundle_pool(obj: dict) -> StoredPool | None:
-    """The stored training pool of a model bundle's JSON value, if it has one
-    of a version this code reads."""
-    return pool_from_json_obj(obj["pool"]) if "pool" in obj else None
+    config = config_from_json_obj(expect(obj, "config", dict, ""), "/config")
+    return nb_model, config, pool_from_json_obj(obj["pool"]) if "pool" in obj else None
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -133,7 +130,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     selected = nb_model.selected_vocab
     out_path = Path(args.model)
     pool = pool_to_json_obj(corpus, data, config.framework_prefixes)
-    write_text(out_path, json.dumps(_bundle_to_obj(nb_model, config, pool), indent=2) + "\n",
+    write_text(out_path, json.dumps(_bundle_to_obj(nb_model, config, pool)) + "\n",
                "model bundle")
     summary = {
         "documents": len(corpus),
@@ -150,8 +147,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     text = read_text(args.model, "model bundle")
     with naming("model bundle", args.model):
         obj = parse_json(text, "model bundle")
-        nb_model, bundle_config = _bundle_from_obj(obj)
-        pool = _bundle_pool(obj)
+        nb_model, bundle_config, pool = _bundle_from_obj(obj)
     config = _resolve_config(args, bundle_config)
     matcher = FrameworkMatcher(config.framework_prefixes)
     data = read_bytes(args.corpus, "corpus")
@@ -224,8 +220,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def _inspect_json_object(obj: dict) -> dict:
     if obj.get("kind") == BUNDLE_KIND or ("nb" in obj and "selected_vocab" in obj):
-        nb_model, _ = _bundle_from_obj(obj)
-        pool = _bundle_pool(obj)
+        nb_model, _, pool = _bundle_from_obj(obj)
         selected = nb_model.selected_vocab
         return {
             "kind": "model_bundle",

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .appmodel import DEFAULT_LINKS_DEPTH
-from .errors import NUMBER, SchemaError, fits, naming, parse_json, read_text
+from .errors import NUMBER, SchemaError, _mismatch, fits, naming, parse_json, read_text
 
 # Package prefixes treated as Android framework code when splitting traces.
 DEFAULT_FRAMEWORK_PREFIXES = (
@@ -68,9 +68,7 @@ class Config:
         for f in fields(self)[1:]:  # the scalars; annotations are strings in this module
             value, kinds = getattr(self, f.name), NUMBER if f.type == "float" else (int,)
             if not fits(value, kinds):
-                names = " or ".join(k.__name__ for k in kinds)
-                raise ConfigError(f"key {f.name!r} must be {names}, got {type(value).__name__}",
-                                  f"/{f.name}")
+                raise _mismatch(value, kinds, f"key {f.name!r}", f"/{f.name}", ConfigError)
             if f.type == "float" and not _is_finite(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}", f"/{f.name}")
         for name, holds, rule in (("chi2_ratio", 0.0 < self.chi2_ratio <= 1.0, "in (0, 1]"),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .appmodel import ApiRef, parse_method_ref, well_formed_api
+from .appmodel import ApiRef, parse_method_ref
 from .errors import (
     CrashLocError, SchemaError, decode_text, expect, naming, parse_json, read_bytes, write_text,
 )
@@ -88,65 +88,46 @@ _labeled_crash = builder(LabeledCrash)
 def labeled_crash_from_json(
     obj: dict, matcher: FrameworkMatcher, base_dir: Path | None = None, pointer: str = ""
 ) -> LabeledCrash:
-    # A value of its JSON type passes a ``type(v) is T`` test or a dict
-    # lookup in place; any other value goes to the check that reports it,
-    # so an error's message and pointer are built only for the value that
-    # fails. Checks run in the order of the keys below, and the first
-    # failure is the one reported.
-    entry = obj if isinstance(obj, dict) else {}
-    value = entry.get("category")
-    category = _CATEGORY_NAMES.get(value) if type(value) is str else None
+    # Every key is checked with ``expect``, which builds a message only for
+    # the value that fails. Checks run in the order of the keys below, and
+    # the first failure is the one reported.
+    value = expect(obj, "category", str, pointer)
+    category = _CATEGORY_NAMES.get(value)
     if category is None:
-        try:
-            category = Category(expect(obj, "category", str, pointer))
-        except ValueError:
-            raise SchemaError(
-                f"category must be A, B or C, got {obj['category']!r}", f"{pointer}/category"
-            ) from None
-    crash_log = entry.get("crash_log")
-    if type(crash_log) is not str:
-        crash_log = expect(obj, "crash_log", str, pointer)
+        raise SchemaError(f"category must be A, B or C, got {value!r}", f"{pointer}/category")
+    crash_log = expect(obj, "crash_log", str, pointer)
     try:
         report = parse_and_split(crash_log, matcher)
     except CrashLocError as exc:
         raise SchemaError(f"crash_log does not parse: {exc}", f"{pointer}/crash_log") from exc
 
-    api_h = entry.get("api_h")
+    api_h = obj.get("api_h")
     if api_h is not None:
-        api_h = well_formed_api(api_h) or ApiRef.from_json_obj(api_h, f"{pointer}/api_h")
+        api_h = ApiRef.from_json_obj(api_h, f"{pointer}/api_h")
     elif category is Category.B:
         raise SchemaError("Category-B entry must carry api_h", f"{pointer}/api_h")
 
-    value = entry.get("sub_category")
-    sub_category = None
-    if value is not None:
-        sub_category = _SUB_CATEGORY_NAMES.get(value) if type(value) is str else None
-        if sub_category is None:
-            try:
-                sub_category = SubCategory(value)
-            except ValueError:
-                raise SchemaError(
-                    f"unknown sub_category {value!r}", f"{pointer}/sub_category"
-                ) from None
+    sub_category = obj.get("sub_category")
+    if sub_category is not None:
+        try:
+            sub_category = _SUB_CATEGORY_NAMES[sub_category]
+        except (KeyError, TypeError):  # TypeError: an array or object
+            raise SchemaError(
+                f"unknown sub_category {sub_category!r}", f"{pointer}/sub_category"
+            ) from None
     elif category is Category.C:
         raise SchemaError("Category-C entry must carry sub_category", f"{pointer}/sub_category")
 
-    true_location = entry.get("true_location")
-    if type(true_location) is not str:
-        true_location = expect(obj, "true_location", str, pointer)
+    true_location = expect(obj, "true_location", str, pointer)
     if category is not Category.C:
-        try:
-            parse_method_ref(true_location)
-        except SchemaError as exc:
-            raise SchemaError(exc.message, f"{pointer}/true_location") from None
+        parse_method_ref(true_location, pointer=f"{pointer}/true_location")
     elif true_location not in _SUB_CATEGORY_NAMES:
         raise SchemaError(f"Category-C true_location must name a sub-category, "
                           f"got {true_location!r}", f"{pointer}/true_location")
 
-    app_model = entry.get("app_model")
+    app_model = obj.get("app_model")
     if app_model is not None:
-        if type(app_model) is not str:
-            app_model = expect(obj, "app_model", str, pointer)
+        app_model = expect(obj, "app_model", str, pointer)
         if not app_model:
             app_model = None
         elif base_dir is None:

@@ -130,8 +130,9 @@ def naming(what: str, path: str | Path):
 
 
 # Shape checks shared by the artifact loaders. ``bool`` is a subclass of
-# ``int``, but a JSON true/false is never taken for a number. Messages are
-# formatted only on failure, as a bundle check visits every word and row.
+# ``int``, but a JSON true/false is never taken for a number. A value of
+# exactly ``kind`` passes in place, any other goes through ``fits``, and a
+# message is formatted only for the value that fails.
 NUMBER = (int, float)
 
 
@@ -139,13 +140,17 @@ def fits(value, kinds: tuple) -> bool:
     return type(value) in kinds or (isinstance(value, kinds) and not isinstance(value, bool))
 
 
-def _mismatch(value, kinds: tuple, what: str, pointer: str) -> SchemaError:
+def _mismatch(value, kinds: tuple, what: str, pointer: str, error=SchemaError) -> SchemaError:
     names = " or ".join(k.__name__ for k in kinds)
-    return SchemaError(f"{what} must be {names}, got {type(value).__name__}", pointer)
+    return error(f"{what} must be {names}, got {type(value).__name__}", pointer)
 
 
 def expect(obj, key: str, kind, pointer: str):
     """``obj[key]`` when ``obj`` is an object holding a ``kind`` there, else SchemaError."""
+    if type(obj) is dict:
+        value = obj.get(key)
+        if type(value) is kind:
+            return value
     if not isinstance(obj, dict):
         raise _mismatch(obj, (dict,), "value", pointer or "/")
     if key not in obj:
@@ -158,6 +163,12 @@ def expect(obj, key: str, kind, pointer: str):
 
 def expect_items(values, kind, pointer: str, length: int | None = None) -> list:
     """``values`` when it is an array of ``kind`` items (of ``length``, if given)."""
+    if type(values) is list and (length is None or len(values) == length):
+        for value in values:
+            if type(value) is not kind:
+                break
+        else:
+            return values
     if not isinstance(values, list):
         raise _mismatch(values, (list,), "value", pointer)
     if length is not None and len(values) != length:
@@ -167,6 +178,12 @@ def expect_items(values, kind, pointer: str, length: int | None = None) -> list:
         if not fits(value, kinds):
             raise _mismatch(value, kinds, "item", f"{pointer}/{i}")
     return values
+
+
+def nested(exc: ArtifactError, prefix: str) -> ArtifactError:
+    """``exc`` again, its pointer read as relative to the value at ``prefix``
+    (``"/"`` is that value): a check builds ``prefix`` only for an error."""
+    return type(exc)(exc.message, prefix if exc.pointer == "/" else prefix + exc.pointer)
 
 
 def expect_between(obj, key, pointer: str, low: float = -math.inf, high: float = math.inf) -> float:

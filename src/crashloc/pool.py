@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from .appmodel import ApiRef, well_formed_api
+from .appmodel import ApiRef
 from .corpus import _SUB_CATEGORY_NAMES, Category, LabeledCrash, SubCategory
 from .errors import SchemaError, expect, expect_items
 from .records import builder
@@ -136,7 +136,7 @@ def pool_from_json_obj(obj, pointer: str = "/pool") -> StoredPool | None:
             for j, i in enumerate(expect_items(ids, int, at)):
                 _index(i, len(frames), "frame", f"{at}/{j}")
         keys.append(tuple(map(frames.__getitem__, ids)))
-    apis = [well_formed_api(api) or ApiRef.from_json_obj(api, f"{pointer}/apis/{ai}")
+    apis = [ApiRef.from_json_obj(api, f"{pointer}/apis/{ai}")
             for ai, api in enumerate(expect(obj, "apis", list, pointer))]
     crashes = [_pooled(entry, apis, keys, f"{pointer}/crashes/{ci}")
                for ci, entry in enumerate(expect(obj, "crashes", list, pointer))]

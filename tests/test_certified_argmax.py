@@ -175,7 +175,7 @@ def test_bundle_loaded_as_locate_loads_it_certifies_predicts_category(corpus, cr
                                                                      matcher, tmp_path):
     bundle = tmp_path / "bundle.json"
     assert main(["train", "--corpus", str(CORPUS_PATH), "--model", str(bundle)]) == 0
-    nb, _ = _bundle_from_obj(parse_json(read_text(bundle, "model bundle"), "model bundle"))
+    nb, _, _ = _bundle_from_obj(parse_json(read_text(bundle, "model bundle"), "model bundle"))
     reports = [crash.report for crash in corpus]
     for text in crash_logs.values():
         try:

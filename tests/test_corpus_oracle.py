@@ -172,8 +172,13 @@ def corrupted_corpus_entries(draw):
     return obj
 
 
+# In-process str-enum members where the JSON has texts: they load as the texts do.
 @settings(max_examples=300, deadline=None)
 @given(corpus_entries(), st.sampled_from(BASE_DIRS))
+@example(dict(next(e for e in FIXTURE_ENTRIES if e["category"] == "B"), category=Category.B),
+         None)
+@example(dict(next(e for e in FIXTURE_ENTRIES if e["category"] == "C"), category=Category.C,
+              sub_category=SubCategory.ASSET, true_location="Asset"), CORPUS_PATH.parent)
 def test_entries_load_like_reference(obj, base_dir):
     assert_loads_like_reference(obj, base_dir)
 

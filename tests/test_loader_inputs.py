@@ -79,7 +79,7 @@ def _config_numbers(config):
 
 
 def _bundle_numbers(loaded):
-    nb_model, config = loaded
+    nb_model, config, _ = loaded
     vocab = nb_model.selected_vocab
     return [*nb_model.priors, *(p for row in nb_model.cond for p in row), nb_model.smoothing,
             *vocab.scores, vocab.ratio, *_config_numbers(config)]
