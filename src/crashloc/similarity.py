@@ -6,16 +6,16 @@ sequence length. Similarity depends on the sub-traces alone, so a pool of
 labeled crashes is compared through its ``SubtraceIndex``: each distinct
 sub-trace once, whatever the number of crashes sharing it, and only when
 the index's postings and lengths cannot prove the score beforehand.
-``edit_distance`` compares two sequences; ``PackedKeys`` compares one text
-with many keys in a single bit-parallel pass, for a locator that needs
-every key's score.
+``PackedKeys`` compares one text with many keys in a single bit-parallel
+pass, for a locator that needs every key's score; ``edit_distance``, which
+compares two sequences, is its one-key case.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Hashable, Iterable, Sequence, Union
 
 from .corpus import LabeledCrash
 from .errors import EmptyPool
@@ -101,16 +101,10 @@ class SubtraceIndex:
 Pool = Union[Sequence[LabeledCrash], SubtraceIndex]
 
 
-def edit_distance(a: Sequence, b: Sequence) -> int:
-    """Levenshtein distance with unit-cost insert/delete/substitute.
-
-    The common prefix and suffix are stripped, as they cost nothing; the
-    rest runs Myers' bit-vector algorithm (JACM 46(3), 1999) in Hyyrö's
-    global-distance form (2001), one Python int per column of the DP:
-    bit i of ``pv``/``mv`` says that cell i+1 of the column is one more or
-    one less than cell i. The shorter side is the pattern, so each column
-    is one word-parallel step over at most min(|a|, |b|) bits.
-    """
+def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Levenshtein distance with unit-cost insert/delete/substitute. The
+    common prefix and suffix cost nothing and are stripped; the rest is the
+    one-key case of ``PackedKeys``, with the shorter side as the key."""
     end_a, end_b = len(a), len(b)
     start = 0
     while start < end_a and start < end_b and a[start] == b[start]:
@@ -123,70 +117,51 @@ def edit_distance(a: Sequence, b: Sequence) -> int:
         text, pattern = pattern, text
     if not pattern:
         return len(text)
-    masks: dict = {}
-    bit = 1
-    for token in pattern:
-        masks[token] = masks.get(token, 0) | bit
-        bit <<= 1
-    width = bit - 1  # the pattern's bits; ``~`` is negative, so mask after it
-    top = bit >> 1  # the last cell of the column, where the distance is read
-    pv, mv, distance = width, 0, len(pattern)
-    for token in text:
-        eq = masks.get(token, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & top:
-            distance += 1
-        elif mh & top:
-            distance -= 1
-        ph = (ph << 1) | 1  # row 0 grows by one per text token
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & width
-        mv = ph & xv
-    return distance
+    return PackedKeys.of((pattern,)).distances(text, (0,))[0]
 
 
 @dataclass(frozen=True, slots=True)
 class PackedKeys:
-    """Sequences packed side by side into Python ints, so that one run of
-    ``edit_distance``'s column step gives the distance of a text to each of
-    them: the multiple-pattern form of the bit-vector algorithm (Hyyrö,
-    Fredriksson and Navarro, "Increased bit-parallelism for approximate and
-    multiple string matching", ACM JEA 10, 2005).
+    """Sequences packed side by side into Python ints, so that one pass over
+    a text gives its edit distance to each: Myers' bit-vector algorithm
+    (JACM 46(3), 1999) in Hyyrö's global-distance form (2001), in the
+    multiple-pattern form of Hyyrö, Fredriksson and Navarro ("Increased
+    bit-parallelism for approximate and multiple string matching", ACM JEA
+    10, 2005). Bit i of ``pv``/``mv`` says that cell i+1 of a key's DP
+    column is one more or one less than cell i; the ints have no fixed
+    width, so a key of any length is exact.
 
     Key k owns a segment of ``len(k)`` bits starting at ``offsets[k]``,
-    followed by one guard bit. ``masks`` maps each frame to the bits of the
+    followed by one guard bit. ``masks`` maps each token to the bits of the
     positions holding it, ``lows`` has the lowest bit of each non-empty
     segment set and ``width`` every segment bit but no guard bit.
     """
 
     lengths: tuple[int, ...]
     offsets: tuple[int, ...]
-    masks: dict[str, int]
+    masks: dict[Hashable, int]
     lows: int
     width: int
 
     @classmethod
-    def of(cls, keys: Iterable[Sequence[str]]) -> PackedKeys:
+    def of(cls, keys: Iterable[Sequence[Hashable]]) -> PackedKeys:
         lengths, offsets, masks = [], [], {}
         lows = width = offset = 0
         for key in keys:
             lengths.append(len(key))
             offsets.append(offset)
-            for position, frame in enumerate(key, offset):
-                masks[frame] = masks.get(frame, 0) | 1 << position
+            for position, token in enumerate(key, offset):
+                masks[token] = masks.get(token, 0) | 1 << position
             if key:
                 lows |= 1 << offset
                 width |= ((1 << len(key)) - 1) << offset
             offset += len(key) + 1
         return cls(tuple(lengths), tuple(offsets), masks, lows, width)
 
-    def distances(self, text: Sequence[str], key_ids: Iterable[int]) -> list[int]:
+    def distances(self, text: Sequence[Hashable], key_ids: Iterable[int]) -> list[int]:
         """Edit distance of ``text`` to each key of ``key_ids``, in that order.
 
-        One column step per frame of ``text`` advances every key at once.
+        One column step per token of ``text`` advances every key at once.
         The carry out of a segment's addition stops at its guard bit; that
         carry and ``ph``'s guard bit are masked off before they could shift
         into the next segment, and the row-0 ``+1`` enters at each segment's
@@ -196,8 +171,8 @@ class PackedKeys:
         """
         masks, lows, width = self.masks, self.lows, self.width
         pv, mv = width, 0
-        for frame in text:
-            eq = masks.get(frame, 0)
+        for token in text:
+            eq = masks.get(token, 0)
             xv = eq | mv
             xh = ((((eq & pv) + pv) & width) ^ pv) | eq
             ph = ((mv | ~(xh | pv)) & width) << 1 | lows

@@ -36,8 +36,9 @@ scored each sharing sub-trace with its own ``crash_similarity`` call and
 checked the labels on every query, kept verbatim. On random pools over
 small alphabets, with repeated and empty keys and keys of 63, 64, 65 and
 more frames, the packed pass (``PackedKeys``) must give every key the
-distance ``edit_distance`` gives it, and ``locate_category_c`` the same
-means, ranking and provenance as both references.
+distance ``edit_distance`` and the row DP give it, and
+``locate_category_c`` the same means, ranking and provenance as both
+references.
 """
 from __future__ import annotations
 
@@ -283,8 +284,12 @@ def reference_indexed_locate_category_c(report: CrashReport, training_c: Pool) -
 def token_pairs(draw):
     """Two sequences over one alphabet of 1-5 tokens, lengths 0-70; the
     second is often an edited copy of the first, so that long common
-    prefixes and suffixes occur."""
-    alphabet = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
+    prefixes and suffixes occur. Half the alphabets are not all strings:
+    ``edit_distance`` takes any hashable token (no bools, which equal ints)."""
+    size = draw(st.integers(1, 5))
+    alphabet = [f"f{i}" for i in range(size)]
+    if draw(st.booleans()):
+        alphabet = draw(st.permutations([0, 1, "0", (0,), None]))[:size]
     tokens = st.sampled_from(alphabet)
     a = draw(st.lists(tokens, max_size=70))
     if draw(st.booleans()):
@@ -558,6 +563,7 @@ def test_packed_pass_matches_edit_distance_and_both_references(drawn):
     keys = list(training.index.first)
     ids = list(reversed(range(len(keys))))
     assert training.packed.distances(query, ids) == [edit_distance(query, keys[k]) for k in ids]
+    assert training.packed.distances(query, ids) == [reference_edit_distance(query, keys[k]) for k in ids]
     assert training.packed.lengths == tuple(map(len, keys))
 
     report = make_report(framework=query)
