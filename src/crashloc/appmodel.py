@@ -20,8 +20,11 @@ and all queries are pure. The call graph that ``invokers_of`` and
 ``link_scores`` walk is derived once per model, on the first such query,
 and it keeps the methods reachable from each method within each searched
 depth as a bit mask, filled by one search the first time it is asked for.
-``link_scores`` holds the Category-B linkage rule; ``links`` is its
-one-pair case.
+``_count_links`` holds the Category-B linkage rule; ``links`` is its
+one-pair case. The call graph also keeps, per (API class, API method,
+frame class, depth), how many of the frame class's active methods each
+invoker of the API links to: the first ``link_scores`` query that needs a
+key fills it, and later queries of the same model read it.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ API_KIND_CALL_IN = "call-in"
 API_KIND_CALLBACK = "callback"
 API_KINDS = (API_KIND_CALL_IN, API_KIND_CALLBACK)
 
-# How many invocation hops the linkage rule (``link_scores``) follows
+# How many invocation hops the linkage rule (``_count_links``) follows
 # unless told otherwise.
 DEFAULT_LINKS_DEPTH = 5
 
@@ -132,7 +135,10 @@ class CallGraph:
 
     Ids number the declared methods in declaration order. A developer
     callee is its declaration: loading resolves it by canonical string.
-    ``reach`` memoizes ``reachable``; it is not part of ``==``.
+    ``reach`` memoizes ``reachable``; ``link_counts`` memoizes the
+    ``_count_links`` of each (API class, API method, frame class, depth) that
+    ``link_scores`` asks for, one count per invoker of the API in
+    ``invokers`` order. Neither memo is part of ``==`` or ``repr``.
     """
 
     ids: dict  # canonical string -> id of the declared method
@@ -142,6 +148,7 @@ class CallGraph:
     flows: dict  # param-flow callee (class, method) -> ((callee, class name), ...)
     invokers: dict  # callee (class, method) -> callers, in model order
     reach: dict = field(default_factory=dict, compare=False, repr=False)  # (id, depth) -> mask
+    link_counts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, model: AppModel) -> "CallGraph":
@@ -360,57 +367,93 @@ def invokers_of(model: AppModel, api: ApiRef) -> list[MethodRef]:
 
 
 def links(model: AppModel, s: MethodRef, am: MethodRef, depth: int = DEFAULT_LINKS_DEPTH) -> bool:
-    """True when ``link_scores`` links the developer method ``s`` to ``am``:
-    its one-invoker, one-(d = 1, am) case."""
-    return link_scores(model, (s,), ((1, (am,)),), depth)[0] > 0.0
-
-
-def link_scores(
-    model: AppModel,
-    invokers: Sequence[MethodRef],
-    frames: Iterable[tuple[int, Sequence[MethodRef]]],
-    depth: int = DEFAULT_LINKS_DEPTH,
-) -> list[float]:
-    """Each invoker's Category-B score: ``1/d`` for every frame distance d
-    and every active method ``am`` of that frame's class (``frames`` gives
-    the (d, active methods) pairs) that the invoker ``s`` links to.
-
-    ``s`` links to ``am`` when any of: (1) both are declared in the same
-    class, (2) an instance of ``s``'s declaring class flows into ``am`` as
-    a parameter, (3) ``am`` reaches ``s`` within ``depth`` invocation hops.
-
-    The invokers' target masks are resolved once; then each (d, am) is one
-    pass over the invokers, adding ``1/d`` in (d, am) order, so each sum is
-    the same float as a per-pair loop's. ``reachable(am, depth)`` is asked
-    for only once some invoker is linked neither by class nor by a param
-    flow, so the memo fills the same keys as a per-pair loop.
-    """
-    if not invokers:
-        return []
+    """True when the developer method ``s`` links to ``am``: the one-invoker,
+    one-active-method case of ``_count_links``."""
     graph = model.call_graph
-    entries = []  # (position, class, bits of the declared methods that are the invoker)
-    for i, s in enumerate(invokers):
+    return _count_links(graph, _targets(graph, (s,)), (am,), depth)[0] > 0
+
+
+def _targets(graph: CallGraph, invokers: Sequence[MethodRef]) -> list[tuple[str, int]]:
+    """Each invoker's class, and the bits of the declared methods that are it."""
+    targets = []
+    for s in invokers:
         target = 0
         for j in graph.by_name.get((s.class_name, s.method_name), ()):
             if graph.refs[j].same_method(s):
                 target |= 1 << j
-        entries.append((i, s.class_name, target))
+        targets.append((s.class_name, target))
+    return targets
+
+
+def _count_links(
+    graph: CallGraph,
+    targets: Sequence[tuple[str, int]],
+    active_methods: Sequence[MethodRef],
+    depth: int,
+) -> list[int]:
+    """How many of ``active_methods`` each invoker links to; ``targets``
+    gives each invoker's class and the bits of its declared methods.
+
+    An invoker ``s`` links to ``am`` when any of: (1) both are declared in
+    the same class, (2) an instance of ``s``'s declaring class flows into
+    ``am`` as a parameter, (3) ``am`` reaches ``s`` within ``depth``
+    invocation hops. Each (invoker, active method) pair is walked as a
+    per-pair loop would, and ``reachable(am, depth)`` is asked for only once
+    some invoker is linked neither by class nor by a param flow, so the
+    memo fills the same keys as a per-pair loop.
+    """
+    counts = [0] * len(targets)
+    for am in active_methods:
+        flows = graph.flows.get((am.class_name, am.method_name))
+        flowing = {c for callee, c in flows if callee.same_method(am)} if flows else ()
+        mask = None
+        for i, (class_name, target) in enumerate(targets):
+            if class_name == am.class_name or class_name in flowing:
+                counts[i] += 1
+                continue
+            if mask is None:
+                start = graph.ids.get(am.canonical())
+                mask = 0 if start is None else graph.reachable(start, depth)
+            if mask & target:
+                counts[i] += 1
+    return counts
+
+
+def link_scores(
+    model: AppModel,
+    api: ApiRef,
+    frames: Iterable[tuple[int, ClassDef]],
+    depth: int = DEFAULT_LINKS_DEPTH,
+) -> list[float]:
+    """Each invoker's Category-B score, in ``invokers_of(model, api)`` order:
+    ``1/d`` for every frame (``frames`` gives the distance d and the
+    model's class definition of each) and every active method of that
+    frame's class that the invoker links to (``_count_links``).
+
+    The counts per (API, frame class, depth) are read from the call graph's
+    ``link_counts`` memo, or worked out and kept there on the first query
+    that needs them. Each invoker then gets ``1/d`` added once per linked
+    method, one at a time, frame by frame, so each sum is the same float as
+    a per-pair loop's.
+    """
+    graph = model.call_graph
+    invokers = graph.invokers.get((api.class_name, api.method_name), ())
+    if not invokers:
+        return []
+    memo = graph.link_counts
+    targets = None
     scores = [0.0] * len(invokers)
-    for d, active_methods in frames:
+    for d, cdef in frames:
+        key = (api.class_name, api.method_name, cdef.name, depth)
+        counts = memo.get(key)
+        if counts is None:
+            if targets is None:
+                targets = _targets(graph, invokers)
+            counts = memo[key] = tuple(_count_links(graph, targets, cdef.active_methods, depth))
         weight = 1.0 / d
-        for am in active_methods:
-            flows = graph.flows.get((am.class_name, am.method_name))
-            flowing = {c for callee, c in flows if callee.same_method(am)} if flows else ()
-            mask = None
-            for i, class_name, target in entries:
-                if class_name == am.class_name or class_name in flowing:
-                    scores[i] += weight
-                    continue
-                if mask is None:
-                    start = graph.ids.get(am.canonical())
-                    mask = 0 if start is None else graph.reachable(start, depth)
-                if mask & target:
-                    scores[i] += weight
+        for i, k in enumerate(counts):
+            for _ in range(k):
+                scores[i] += weight
     return scores
 
 

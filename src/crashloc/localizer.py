@@ -4,8 +4,11 @@ Category A ranks the developer frames in stack order. Category B infers
 the wrongly handled API from the most similar labeled crash and then walks
 the app model: for call-in APIs every invoker is scored by its linkage to
 the active methods of each stack-frame class, weighted by 1/d where d is
-the frame's 1-based distance from the crash method, in one pass over the
-invokers per (frame, active method); for callback APIs the matching
+the frame's 1-based distance from the crash method. How many active
+methods of a frame class each invoker links to is kept by the loaded app
+model per (API class, API method, frame class, depth): the first query
+that needs a key works the counts out, and later queries of the same model
+reuse them. For callback APIs the matching
 non-overridden callbacks of each stack-frame class are appended in frame
 order. Category C averages crash similarity per sub-category, with every
 distinct training sub-trace scored in one bit-parallel pass per query. The
@@ -192,17 +195,17 @@ def locate_category_b(
 ) -> LocalizationResult:
     """Rank out-of-trace developer methods for the inferred handled API.
 
-    ``link_scores`` scores a call-in API's invokers, one pass per (frame,
-    active method). Stack-frame classes missing from the app model are
-    skipped with a warning rather than failing the whole localization.
+    ``link_scores`` scores a call-in API's invokers from the model's link
+    counts per frame class. Stack-frame classes missing from the app model
+    are skipped with a warning rather than failing the whole localization.
     """
     api, provenance = infer_handled_api(report, training_b)
 
     if api.kind == API_KIND_CALL_IN:
         invokers = invokers_of(model, api)
         # Invokers are unique by canonical name, so one score per position.
-        frames = [(d, cdef.active_methods) for d, _, cdef in _known_frames(report, model)]
-        scores = link_scores(model, invokers, frames, depth)
+        frames = [(d, cdef) for d, _, cdef in _known_frames(report, model)]
+        scores = link_scores(model, api, frames, depth)
         ranked = tuple(sorted(
             ((s, score) for s, score in zip(invokers, scores) if score > 0),
             key=lambda pair: -pair[1],

@@ -8,7 +8,8 @@ sub-trace once, whatever the number of crashes sharing it, and only when
 the index's postings and lengths cannot prove the score beforehand.
 ``PackedKeys`` compares one text with many keys in a single bit-parallel
 pass, for a locator that needs every key's score; ``edit_distance``, which
-compares two sequences, is its one-key case.
+compares two sequences, is its one-key case, and both run the same column
+steps (``_last_column``).
 """
 from __future__ import annotations
 
@@ -104,7 +105,8 @@ Pool = Union[Sequence[LabeledCrash], SubtraceIndex]
 def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Levenshtein distance with unit-cost insert/delete/substitute. The
     common prefix and suffix cost nothing and are stripped; the rest is the
-    one-key case of ``PackedKeys``, with the shorter side as the key."""
+    one-key case of ``PackedKeys``, with the shorter side as the key, packed
+    at offset 0 without building the record."""
     end_a, end_b = len(a), len(b)
     start = 0
     while start < end_a and start < end_b and a[start] == b[start]:
@@ -117,7 +119,26 @@ def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
         text, pattern = pattern, text
     if not pattern:
         return len(text)
-    return PackedKeys.of((pattern,)).distances(text, (0,))[0]
+    masks: dict = {}
+    for position, token in enumerate(pattern):
+        masks[token] = masks.get(token, 0) | 1 << position
+    pv, mv = _last_column(text, masks, 1, (1 << len(pattern)) - 1)
+    return len(text) + pv.bit_count() - mv.bit_count()
+
+
+def _last_column(text: Sequence[Hashable], masks: dict, lows: int, width: int) -> tuple[int, int]:
+    """``pv`` and ``mv`` of the last DP column after one column step per
+    token of ``text``, for keys packed as ``PackedKeys`` describes."""
+    pv, mv = width, 0
+    for token in text:
+        eq = masks.get(token, 0)
+        xv = eq | mv
+        xh = ((((eq & pv) + pv) & width) ^ pv) | eq
+        ph = ((mv | ~(xh | pv)) & width) << 1 | lows
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & width
+        mv = ph & xv
+    return pv, mv
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,16 +190,7 @@ class PackedKeys:
         of the final column, so key k's distance is row 0's ``len(text)``
         plus the popcount of ``pv`` minus that of ``mv`` over its segment.
         """
-        masks, lows, width = self.masks, self.lows, self.width
-        pv, mv = width, 0
-        for token in text:
-            eq = masks.get(token, 0)
-            xv = eq | mv
-            xh = ((((eq & pv) + pv) & width) ^ pv) | eq
-            ph = ((mv | ~(xh | pv)) & width) << 1 | lows
-            mh = (pv & xh) << 1
-            pv = (mh | ~(xv | ph)) & width
-            mv = ph & xv
+        pv, mv = _last_column(text, self.masks, self.lows, self.width)
         n = len(text)
         lengths, offsets = self.lengths, self.offsets
         out = []

@@ -37,8 +37,11 @@ _NONBLANK_RE = re.compile(r"\S")
 # A line that opens a ``Caused by:`` section, from the line feed before it:
 # a literal first character lets the search skip to each line feed.
 _CAUSED_BY_RE = re.compile(r"\n[^\S\n]*Caused by:")
+# Each class segment after the first must be followed by a ".", so the class
+# never takes the method name only to give it back: the same matches as
+# without the lookahead, with no backtracking into the class.
 _FRAME_RE = re.compile(
-    r"^[^\S\n]*at[^\S\n]+(?P<cls>[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)+)"
+    r"^[^\S\n]*at[^\S\n]+(?P<cls>[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*(?=\.))+)"
     r"\.(?P<method>[\w$<>]+)\((?P<loc>.*)\)[^\S\n]*$",
     re.M,
 )

@@ -12,8 +12,10 @@ once ran per query; applied to a class's callbacks in their listed order,
 it is the oracle for the order in which loading keeps them.
 ``reference_locate_category_b`` is the Category-B locator that called
 ``links`` once per (invoker, active method), kept verbatim; it is the
-oracle for the batched pass of ``link_scores``, which the locator now
-calls: its float order and the reachability memo's keys.
+oracle for ``link_scores``, which the locator now calls: its float order
+and the reachability memo's keys. Run on a fresh model per query, it is
+also the oracle for one loaded model answering a sequence of queries from
+its link counts, which must then search nothing again for a repeated query.
 ``reference_parse_method_ref`` is the regex-only reference parser, and
 ``reference_app_model_from_json`` the loader that parsed every reference
 occurrence with it, kept verbatim but for the names of the parsers it
@@ -46,6 +48,7 @@ from crashloc.appmodel import (
     DEFAULT_LINKS_DEPTH,
     ApiRef,
     AppModel,
+    CallGraph,
     ClassDef,
     MethodRef,
     _undeclared,
@@ -478,6 +481,94 @@ def test_category_b_scores_match_the_links_loop(obj, frame_classes, api, depth):
     actual = locate_category_b(report, model, pool, depth)
     assert json.dumps(actual.to_json_obj()) == json.dumps(expected.to_json_obj())
     assert set(model.call_graph.reach) == set(reference_model.call_graph.reach)
+
+
+@st.composite
+def call_in_sequences(draw):
+    """A sequence of Category-B queries (frame classes, API, depth), each
+    drawn from a few distinct ones, so that queries repeat and interleave."""
+    queries = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(FRAME_CLASSES), min_size=1, max_size=6).map(tuple),
+        st.sampled_from(API_REFS + (("x.Y", "z", "call-in"),)),
+        st.integers(1, 6),
+    ), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(queries) - 1), min_size=1, max_size=10))
+    return [queries[i] for i in picks]
+
+
+_MAIN_THEN_HELPER = (("com.app.Main", "com.app.Helper"), API_REFS[0], 1)
+_HELPER_AT_DEPTH_2 = (("com.app.Helper",), API_REFS[0], 2)
+
+# ``Main#run()`` invokes ``Service#bindService`` and is linked to the frame
+# class Main; ``Helper#stop(long)`` invokes ``Service#startService``, an API
+# of the same class, and ``Context#bindService``, one of the same method
+# name, and is not. Link counts kept for one API must not answer a query on
+# another.
+_START_SERVICE = ("android.app.Service", "startService", "call-in")
+_CONTEXT_BIND = ("android.content.Context", "bindService", "call-in")
+_THREE_SERVICE_CALLS = {
+    "classes": [
+        {"name": "com.app.Main", "superclasses": ["java.lang.Object"],
+         "active_methods": ["com.app.Main#run()"], "non_overridden_callbacks": []},
+        {"name": "com.app.Helper", "superclasses": ["java.lang.Object"],
+         "active_methods": ["com.app.Helper#stop(long)"], "non_overridden_callbacks": []},
+    ],
+    "invocations": [
+        {"caller": "com.app.Main#run()", "callees": ["android.app.Service#bindService"]},
+        {"caller": "com.app.Helper#stop(long)",
+         "callees": ["android.app.Service#startService", "android.content.Context#bindService"]},
+    ],
+    "param_flows": [],
+    "apis": [{"class_name": c, "method_name": m, "kind": k}
+             for c, m, k in (API_REFS[0], _START_SERVICE, _CONTEXT_BIND)],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=app_model_json(), sequence=call_in_sequences())
+@example(obj=_THIRDS, sequence=[_MAIN_THEN_HELPER, _HELPER_AT_DEPTH_2, _MAIN_THEN_HELPER,
+                                _HELPER_AT_DEPTH_2, _HELPER_AT_DEPTH_2])
+@example(obj=_THREE_SERVICE_CALLS, sequence=[(("com.app.Main",), api, 1)
+                                             for api in (API_REFS[0], _START_SERVICE,
+                                                         _CONTEXT_BIND)])
+def test_one_model_answers_a_query_sequence_like_fresh_models(obj, sequence):
+    # One loaded model answers every query, so later queries read link counts
+    # that earlier ones filled; each answer must be the per-pair loop's on a
+    # fresh model, and a repeated query must search nothing.
+    model = app_model_from_json(obj)
+    graph = model.call_graph
+    requests = []
+    reachable = CallGraph.reachable
+
+    def counted(self, start, depth):
+        requests.append((start, depth))
+        return reachable(self, start, depth)
+
+    expected_reach = set()
+    apis, depths = set(), set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CallGraph, "reachable", counted)
+        for n, (frame_classes, api, depth) in enumerate(sequence):
+            report = make_report(developer=tuple(f"{cls}.run" for cls in frame_classes))
+            pool = [LabeledCrash(report=make_report(), category=Category.B,
+                                 true_location="x#y", api_h=ApiRef(*api))]
+            reference_model = app_model_from_json(obj)
+            expected = reference_locate_category_b(report, reference_model, pool, depth)
+            expected_reach |= set(reference_model.call_graph.reach)
+            requests.clear()
+            actual = locate_category_b(report, model, pool, depth)
+            assert json.dumps(actual.to_json_obj()) == json.dumps(expected.to_json_obj()), n
+            if sequence[n] in sequence[:n]:
+                assert requests == [], n
+            apis.add(api[:2])
+            depths.add(depth)
+            assert len(graph.link_counts) <= len(apis) * len(model.classes) * len(depths), n
+    assert set(graph.reach) == expected_reach
+    fresh = app_model_from_json(obj)
+    assert fresh.call_graph.link_counts == {}
+    assert graph == fresh.call_graph
+    assert repr(graph) == repr(fresh.call_graph)
+    assert model == fresh
 
 
 # ---------------------------------------------------------------------------

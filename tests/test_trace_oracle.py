@@ -17,6 +17,12 @@ ending, the separators that ``str.splitlines`` would break at, ``Caused
 by:`` at every place and line numbers too long for ``int``, the one-scan
 ``parse_and_split`` must build an equal report, derived fields included,
 or raise the same error type and message.
+
+``BACKTRACKING_FRAME_RE`` is the whole-log frame pattern whose class group
+could take the method name and give it back, kept verbatim. On lines of
+frames, frame-like text and frames with random character edits,
+``trace._FRAME_RE``, which requires a "." after each class segment past
+the first, must find the same frames between any two positions.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crashloc.errors import CrashLocError, MalformedLog, MissingException, NoDeveloperFrame
+from crashloc import trace
 from crashloc.trace import CrashReport, FrameworkMatcher, StackFrame, parse_and_split
 
 from conftest import CRASH_DIR
@@ -410,3 +417,44 @@ def test_fixture_logs_match_line_split(matcher):
         text = path.read_text(encoding="utf-8")
         for ending in ("\n", "\r\n", "\r\r\n"):
             assert_parses_like_line_split(text.replace("\n", ending), matcher)
+
+
+# ---------------------------------------------------------------------------
+# The frame pattern
+# ---------------------------------------------------------------------------
+
+BACKTRACKING_FRAME_RE = re.compile(
+    r"^[^\S\n]*at[^\S\n]+(?P<cls>[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)+)"
+    r"\.(?P<method>[\w$<>]+)\((?P<loc>.*)\)[^\S\n]*$",
+    re.M,
+)
+# The characters the frame pattern tests for, and a few it never takes.
+_FRAME_CHARS = "aZ_$1.<>():# \t\n\r\u0661"
+
+
+@st.composite
+def edited_frame_lines(draw):
+    """A frame or frame-like line with up to three characters inserted,
+    deleted or replaced."""
+    line = draw(_any_frame_line | st.sampled_from(_MORE_JUNK) | st.text(_FRAME_CHARS, max_size=24))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from("idr"))
+        char = draw(st.sampled_from(_FRAME_CHARS))
+        if edit == "i":
+            line = line[:at] + char + line[at:]
+        elif edit == "d":
+            line = line[:at] + line[at + 1:]
+        else:
+            line = line[:at] + char + line[at + 1:]
+    return line
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(edited_frame_lines(), min_size=1, max_size=6).map("\n".join),
+       st.integers(0, 200), st.integers(0, 200))
+@example("\tat a.b.c.d(X)\n\tat a.b.c.<init>(X)\n\tat a.b<c.d(x)\n\tat a.b.c(d.e(f))", 0, 200)
+def test_frame_pattern_finds_what_the_backtracking_one_does(text, pos, endpos):
+    assert trace._FRAME_RE.findall(text) == BACKTRACKING_FRAME_RE.findall(text)
+    assert (trace._FRAME_RE.findall(text, pos, endpos)
+            == BACKTRACKING_FRAME_RE.findall(text, pos, endpos))
